@@ -3,40 +3,30 @@ score / sort).
 
 Runs Alg. 1 lines 1–2 — the :class:`~repro.core.candidates.CandidateEngine`
 — over the Table 4 smoke scenarios (entity sets of size 1/2/3 in
-50/30/20 % proportions, same sampling as ``bench_interned.py``) in four
-variants:
+50/30/20 % proportions, same sampling as ``bench_interned.py``) in three
+variants; the backend selects the engine path:
 
 * ``term-hash``     — the Term-space path on the hash backend (the seed
   pipeline: per-SE enumeration, ``holds_for`` intersection, per-SE Ĉ);
-* ``term-interned`` — the same Term-space path forced onto the interned
-  backend (``use_id_space=False``; isolates the pipeline from the store);
-* ``id-set``        — the ID-space path with the *per-element set*
-  implementation (``use_kernel=False``): integer-ID enumeration,
-  per-target satisfaction-set intersection, eager decode, per-probe rank
-  tables;
-* ``id-kernel``     — the mask-native path (the default on interned
-  backends): cross-target intersection as big-int algebra over the KB's
-  shared :class:`~repro.kb.idset.MaskStore`, decode-free precompiled
+* ``id-kernel``     — the mask-native path on the interned backend:
+  cross-target intersection as big-int algebra over the KB's shared
+  :class:`~repro.kb.idset.MaskStore`, decode-free precompiled
   code-length tables, and lazy SE decode (queue entries materialize only
   when touched — here, during the bit-identity check, outside timing);
-* ``bounded-k``     — the id-kernel path with ``top_k=512``: best-first
-  branch-and-bound queue construction (whole candidate families pruned
-  on admissible Ĉ lower bounds, incumbent frontier instead of a full
-  sort).  Checked as an exact *prefix* of the reference queue rather
-  than full bit-identity — that IS its contract
+* ``bounded-k``     — the id-kernel path with ``top_k=BOUNDED_TOP_K``:
+  best-first branch-and-bound queue construction (whole candidate
+  families pruned on admissible Ĉ lower bounds, incumbent frontier
+  instead of a full sort).  Checked as an exact *prefix* of the
+  reference queue rather than full bit-identity — that IS its contract
   (``tests/core/test_topk.py``).
 
-Every full variant must produce bit-identical queues (candidate sets AND
-Ĉ values) on every entity set — the run aborts otherwise.  Headline
-ratios:
+``id-kernel`` must produce queues bit-identical to ``term-hash``
+(candidate sets AND Ĉ values) on every entity set — the run aborts
+otherwise.  Headline ratios:
 
 * ``id_speedup_vs_seed`` — (enumerate + intersect + score) seconds of the
-  Term-space seed pipeline over the id-kernel path (history: the PR 2
-  headline, now including the kernel);
-* ``kernel_speedup``     — id-set over id-kernel on the same phases: the
-  pure kernel-vs-set A/B.  ``--ab`` runs ONLY this comparison (both
-  variants on the interned backend) and applies ``--fail-below`` to it —
-  the acceptance bar is ≥ 1.5× on the wikidata-like workload;
+  Term-space seed pipeline over the id-kernel path; ``--fail-below``
+  gates its overall value;
 * ``bounded_sort_score_speedup`` — id-kernel over bounded-k on the
   combined score + sort phases (in bounded mode scoring and ordering
   interleave, so only their sum is comparable).  The acceptance bar is
@@ -53,7 +43,6 @@ paper); the cutoff itself is benchmarked in the pruning ablation.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_pipeline.py --out BENCH_pipeline.json
-    PYTHONPATH=src python benchmarks/bench_pipeline.py --ab   # kernel-vs-set only
 
 Recorded reference numbers live in ``benchmarks/results/bench_pipeline.txt``
 (regenerate with ``--record``); the committed baseline JSON guarded by CI
@@ -85,14 +74,8 @@ from bench_interned import sample_entity_sets  # noqa: E402
 DBPEDIA_CLASSES = ("Person", "Settlement", "Album", "Film", "Organization")
 WIKIDATA_CLASSES = ("Company", "City", "Film", "Human")
 
-#: variant name -> (use_id_space, use_kernel) engine arguments.
-VARIANTS = {
-    "term-hash": (False, None),
-    "term-interned": (False, None),
-    "id-set": (None, False),
-    "id-kernel": (None, True),
-    "bounded-k": (None, True),
-}
+#: Variants in run order; the first is the bit-identity reference.
+VARIANTS = ("term-hash", "id-kernel", "bounded-k")
 
 #: Frontier size of the ``bounded-k`` variant: small against the
 #: paper-scale queues (tens of thousands) yet far deeper than any DFS
@@ -101,10 +84,9 @@ VARIANTS = {
 BOUNDED_TOP_K = 128
 
 
-def build_engine(kb, config, variant):
+def build_engine(kb, config):
     """A fresh engine with cold memos/tables but a warm prominence model
     (a serving deployment builds prominence once at startup)."""
-    use_id_space, use_kernel = VARIANTS[variant]
     miner = REMI(kb, config=config)
     _ = miner.prominent_entities
     return CandidateEngine(
@@ -113,8 +95,6 @@ def build_engine(kb, config, variant):
         matcher=miner.matcher,
         estimator=miner.estimator,
         prominent=miner.prominent_entities,
-        use_id_space=use_id_space,
-        use_kernel=use_kernel,
     )
 
 
@@ -130,7 +110,7 @@ def run_variant(kb, config, variant, entity_sets, repeats):
     best = None
     queues = None
     for _ in range(repeats):
-        engine = build_engine(kb, config, variant)
+        engine = build_engine(kb, config)
         stats = SearchStats()
         gc.disable()
         try:
@@ -220,12 +200,6 @@ def main(argv=None) -> int:
     parser.add_argument("--sets", type=int, default=12, help="entity sets per KB")
     parser.add_argument("--repeats", type=int, default=2, help="best-of repeats")
     parser.add_argument(
-        "--ab",
-        action="store_true",
-        help="kernel-vs-set A/B only: run id-set and id-kernel on the "
-        "interned backend and gate --fail-below on the kernel speedup",
-    )
-    parser.add_argument(
         "--record",
         action="store_true",
         help="also rewrite benchmarks/results/bench_pipeline.txt",
@@ -234,16 +208,10 @@ def main(argv=None) -> int:
         "--fail-below",
         type=float,
         default=1.5,
-        help="exit 1 when the guarded enumerate+intersect+score speedup "
-        "(seed vs id-kernel; id-set vs id-kernel under --ab) is below "
-        "this ratio",
+        help="exit 1 when the overall enumerate+intersect+score speedup "
+        "(seed vs id-kernel) is below this ratio",
     )
     args = parser.parse_args(argv)
-    if args.ab and args.record:
-        parser.error(
-            "--record needs the full 4-variant run; drop --ab "
-            "(the committed reference report covers all variants)"
-        )
 
     # Paper-scale queues: see the scale note in the module docstring.
     config = MinerConfig(prominent_object_cutoff=None)
@@ -251,18 +219,12 @@ def main(argv=None) -> int:
         ("dbpedia", dbpedia_like(scale=args.scale, seed=42), DBPEDIA_CLASSES, 23),
         ("wikidata", wikidata_like(scale=args.scale, seed=7), WIKIDATA_CLASSES, 29),
     ]
-    variant_names = (
-        ["id-set", "id-kernel"]
-        if args.ab
-        else ["term-hash", "term-interned", "id-set", "id-kernel", "bounded-k"]
-    )
     results = []
     report_lines = [
         "candidate-pipeline phase split (enumerate / intersect / score / sort), "
         "Table 4 smoke",
         f"python {platform.python_version()}, scale={args.scale}, "
-        f"sets={args.sets}, best of {args.repeats}"
-        + (", A/B mode (kernel vs set)" if args.ab else ""),
+        f"sets={args.sets}, best of {args.repeats}",
         "",
         f"{'kb':9s} {'variant':14s} {'enum(s)':>9s} {'isect(s)':>9s} "
         f"{'score(s)':>9s} {'sort(s)':>9s} {'enum+score':>11s}",
@@ -273,7 +235,7 @@ def main(argv=None) -> int:
         entity_sets = sample_entity_sets(generated, classes, args.sets, seed)
         rows = {}
         reference_queues = None
-        for variant in variant_names:
+        for variant in VARIANTS:
             kb = hash_kb if variant == "term-hash" else interned_kb
             row, queues = run_variant(kb, config, variant, entity_sets, args.repeats)
             if reference_queues is None:
@@ -291,119 +253,71 @@ def main(argv=None) -> int:
                 f"{row['sort_seconds']:>9.4f} "
                 f"{row['enumerate_plus_score_seconds']:>11.4f}"
             )
-        kernel_speedup = (
-            rows["id-set"]["enumerate_plus_score_seconds"]
-            / rows["id-kernel"]["enumerate_plus_score_seconds"]
-        )
         result = {
             "kb": name,
             "facts": len(hash_kb),
             "entity_sets": len(entity_sets),
             "variants": rows,
-            "kernel_speedup": round(kernel_speedup, 3),
-        }
-        if not args.ab:
-            result["id_speedup_vs_seed"] = round(
+            "id_speedup_vs_seed": round(
                 rows["term-hash"]["enumerate_plus_score_seconds"]
                 / rows["id-kernel"]["enumerate_plus_score_seconds"],
                 3,
-            )
-            result["id_speedup_same_backend"] = round(
-                rows["term-interned"]["enumerate_plus_score_seconds"]
-                / rows["id-kernel"]["enumerate_plus_score_seconds"],
-                3,
-            )
-            result["bounded_sort_score_speedup"] = round(
+            ),
+            "bounded_sort_score_speedup": round(
                 rows["id-kernel"]["sort_plus_score_seconds"]
                 / rows["bounded-k"]["sort_plus_score_seconds"],
                 3,
-            )
-            report_lines.append(
-                f"{name:9s} id-kernel speedup: "
-                f"{result['id_speedup_vs_seed']:.2f}x vs seed (term-hash), "
-                f"{kernel_speedup:.2f}x vs id-set"
-            )
-            report_lines.append(
-                f"{name:9s} bounded-k (top_k={BOUNDED_TOP_K}) sort+score "
-                f"speedup vs id-kernel: "
-                f"{result['bounded_sort_score_speedup']:.2f}x"
-            )
-        else:
-            report_lines.append(
-                f"{name:9s} kernel-vs-set enumerate+intersect+score speedup: "
-                f"{kernel_speedup:.2f}x"
-            )
+            ),
+        }
+        report_lines.append(
+            f"{name:9s} id-kernel speedup: "
+            f"{result['id_speedup_vs_seed']:.2f}x vs seed (term-hash)"
+        )
+        report_lines.append(
+            f"{name:9s} bounded-k (top_k={BOUNDED_TOP_K}) sort+score "
+            f"speedup vs id-kernel: "
+            f"{result['bounded_sort_score_speedup']:.2f}x"
+        )
         results.append(result)
         print(report_lines[-1])
 
-    def overall(numerator_variant):
-        return sum(
-            r["variants"][numerator_variant]["enumerate_plus_score_seconds"]
-            for r in results
-        ) / sum(
-            r["variants"]["id-kernel"]["enumerate_plus_score_seconds"]
-            for r in results
+    def overall(numerator, denominator, phases):
+        return sum(r["variants"][numerator][phases] for r in results) / sum(
+            r["variants"][denominator][phases] for r in results
         )
 
-    overall_kernel = overall("id-set")
     payload = {
-        # A/B artifacts get their own name so check_regression.py never
-        # confuses them with the full-run baseline (which has more keys).
-        "benchmark": "candidate-pipeline-phase-split" + ("-ab" if args.ab else ""),
-        "protocol": "table4-smoke" + ("-ab" if args.ab else ""),
+        "benchmark": "candidate-pipeline-phase-split",
+        "protocol": "table4-smoke",
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "scale": args.scale,
         "sets_per_kb": args.sets,
         "repeats": args.repeats,
         "results": results,
-        "overall_kernel_speedup": round(overall_kernel, 3),
         "queues_bit_identical": True,
+        "overall_id_speedup_vs_seed": round(
+            overall("term-hash", "id-kernel", "enumerate_plus_score_seconds"), 3
+        ),
+        "bounded_top_k": BOUNDED_TOP_K,
+        "overall_bounded_sort_score_speedup": round(
+            overall("id-kernel", "bounded-k", "sort_plus_score_seconds"), 3
+        ),
     }
-    if not args.ab:
-        payload["overall_id_speedup_vs_seed"] = round(overall("term-hash"), 3)
-        payload["bounded_top_k"] = BOUNDED_TOP_K
-        payload["overall_bounded_sort_score_speedup"] = round(
-            sum(
-                r["variants"]["id-kernel"]["sort_plus_score_seconds"]
-                for r in results
-            )
-            / sum(
-                r["variants"]["bounded-k"]["sort_plus_score_seconds"]
-                for r in results
-            ),
-            3,
-        )
-
-    # The acceptance gate: the wikidata-like workload's kernel speedup in
-    # --ab mode, the seed-vs-kernel ratio otherwise.
-    if args.ab:
-        guarded = next(r["kernel_speedup"] for r in results if r["kb"] == "wikidata")
-        guarded_label = "wikidata kernel-vs-set speedup"
-    else:
-        guarded = payload["overall_id_speedup_vs_seed"]
-        guarded_label = "overall id-kernel speedup vs seed"
+    guarded = payload["overall_id_speedup_vs_seed"]
+    guarded_label = "overall id-kernel speedup vs seed"
 
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     report_lines += [
         "",
-        f"overall kernel-vs-set enumerate+intersect+score speedup: "
-        f"{overall_kernel:.2f}x",
+        f"overall id-kernel enumerate+intersect+score speedup vs seed: "
+        f"{guarded:.2f}x",
+        f"overall bounded-k (top_k={BOUNDED_TOP_K}) sort+score speedup "
+        f"vs id-kernel: "
+        f"{payload['overall_bounded_sort_score_speedup']:.2f}x",
+        "queues bit-identical: id-kernel == term-hash "
+        "(bounded-k checked as exact sorted prefix)",
     ]
-    if not args.ab:
-        report_lines.append(
-            f"overall id-kernel enumerate+intersect+score speedup vs seed: "
-            f"{payload['overall_id_speedup_vs_seed']:.2f}x"
-        )
-        report_lines.append(
-            f"overall bounded-k (top_k={BOUNDED_TOP_K}) sort+score speedup "
-            f"vs id-kernel: "
-            f"{payload['overall_bounded_sort_score_speedup']:.2f}x"
-        )
-    report_lines.append(
-        "queues bit-identical across all full variants: yes "
-        "(bounded-k checked as exact sorted prefix)"
-    )
     if args.record:
         record = Path(__file__).parent / "results" / "bench_pipeline.txt"
         record.write_text("\n".join(report_lines) + "\n", encoding="utf-8")

@@ -49,7 +49,6 @@ GUARDS = {
     # one machine, so the floor sits wider than the default 20 % (a real
     # kernel regression drops these toward 1.0, far below any floor).
     "candidate-pipeline-phase-split": {
-        "overall_kernel_speedup": 0.35,
         "overall_id_speedup_vs_seed": 0.35,
         "overall_bounded_sort_score_speedup": 0.35,
     },

@@ -30,8 +30,9 @@ RHDT binaries (``.hdt``), persistent KB images (``remi build-image``
 output, sniffed by magic and mmap-opened zero-copy — the fast cold-start
 path, and with ``--workers N`` the page cache is shared across the whole
 fleet) or N-Triples text (anything else); ``--backend`` picks the
-storage backend (``interned`` dictionary-encodes terms to integer IDs —
-the faster choice for mining workloads).
+storage backend, ``interned`` (dictionary-encoded integer IDs, the
+faster choice for mining workloads) by default on every subcommand —
+answers are identical on ``hash``, only timings differ.
 """
 
 from __future__ import annotations
@@ -43,35 +44,15 @@ from typing import List, Optional
 
 from repro.core.config import LanguageBias, MinerConfig
 from repro.registry import KB_BACKENDS, MINERS, PROMINENCE
-from repro.service import (
-    MineRequest,
-    MiningService,
-    ServiceConfig,
-    StatsRequest,
-    load_kb,
-)
-
-#: Deprecation shim: the old module-level backend table now IS the
-#: registry (same keys, same classes via ``BACKENDS.get(name)``).
-BACKENDS = KB_BACKENDS
-
-
-def _load_kb(path: str, backend: str = "hash"):
-    """Deprecated alias of :func:`repro.service.load_kb`."""
-    return load_kb(path, backend)
+from repro.service import MineRequest, MiningService, ServiceConfig, StatsRequest
 
 
 def _service_config(args: argparse.Namespace) -> ServiceConfig:
     """The one place CLI flags become a validated service config."""
-    miner = getattr(args, "miner", None)
-    if getattr(args, "parallel", False):
-        if miner not in (None, "premi"):
-            raise SystemExit(f"--parallel conflicts with --miner {miner}")
-        miner = "premi"
     defaults = ServiceConfig()
     return ServiceConfig(
         backend=args.backend,
-        miner=miner or "remi",
+        miner=args.miner,
         prominence=args.prominence,
         workers=getattr(args, "workers", 1),
         request_timeout=getattr(args, "request_timeout", defaults.request_timeout),
@@ -165,8 +146,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(response.to_json(), ensure_ascii=False))
         return 0
-    for key, value in response.result["kb"].items():
-        print(f"{key:12s} {value}")
+    kb_stats = response.result["kb"]
+    width = max(map(len, kb_stats), default=0)
+    for key, value in kb_stats.items():
+        print(f"{key:{width}s} {value}")
     return 0
 
 
@@ -299,27 +282,29 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_miner_flags(parser: argparse.ArgumentParser, default_backend: str) -> None:
-    """The flags every mining subcommand shares (one spelling, one place)."""
+def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
+    """``--backend``, shared by every subcommand that loads a KB."""
     parser.add_argument(
         "--backend",
         choices=sorted(KB_BACKENDS.names()),
-        default=default_backend,
-        help="storage backend (plugin registry key)",
+        default="interned",
+        help="storage backend (plugin registry key; default: interned)",
     )
+
+
+def _add_miner_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags every mining subcommand shares (one spelling, one place)."""
+    _add_backend_flag(parser)
     parser.add_argument(
         "--miner",
         choices=sorted(MINERS.names()),
-        default=None,
+        default="remi",
         help="mining algorithm (default: remi)",
     )
     parser.add_argument(
         "--prominence", choices=sorted(PROMINENCE.names()), default="fr"
     )
     parser.add_argument("--standard", action="store_true", help="standard language bias")
-    parser.add_argument(
-        "--parallel", action="store_true", help="deprecated alias for --miner premi"
-    )
     parser.add_argument("--timeout", type=float, default=None, help="seconds per request")
     parser.add_argument(
         "--top-k",
@@ -382,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = subparsers.add_parser("stats", help="print KB statistics")
     stats.add_argument("kb", help="KB file (.hdt or N-Triples)")
-    stats.add_argument("--backend", choices=sorted(KB_BACKENDS.names()), default="hash")
+    _add_backend_flag(stats)
     stats.add_argument(
         "--json", action="store_true", help="emit the service response envelope"
     )
@@ -391,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     mine = subparsers.add_parser("mine", help="mine a referring expression")
     mine.add_argument("kb", help="KB file (.hdt or N-Triples)")
     mine.add_argument("entities", nargs="+", help="target entity IRIs")
-    _add_miner_flags(mine, default_backend="hash")
+    _add_miner_flags(mine)
     mine.add_argument(
         "--json",
         action="store_true",
@@ -409,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         "requests",
         help="JSON-lines requests/updates file, or - for stdin",
     )
-    _add_miner_flags(batch, default_backend="interned")
+    _add_miner_flags(batch)
     batch.add_argument(
         "--workers",
         type=int,
@@ -430,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(mine/describe/update/stats envelopes)",
     )
     serve.add_argument("kb", help="KB file (.hdt or N-Triples)")
-    _add_miner_flags(serve, default_backend="interned")
+    _add_miner_flags(serve)
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8757, help="0 = ephemeral")
     serve.add_argument(

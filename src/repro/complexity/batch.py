@@ -6,42 +6,37 @@ rank table.  Queue construction asks the same question tens of thousands
 of times per target set, and in batch serving the same conditional
 rankings are needed by request after request.  :class:`QueueScorer`
 restructures that work the way the candidate pipeline restructures
-enumeration:
+enumeration: every conditional ranking a queue needs — predicate codes,
+``k(I | p)`` object tables, join and co-occurrence tables — is
+materialized once, *keyed by interned integer IDs*, and **precompiled to
+code lengths** (:func:`~repro.complexity.codes.log2_rank_table`), so
+scoring a queue entry is two dict probes and a float add per conditional
+code, with no ``log2`` and no term decode in the loop.
 
-1. **group** the surviving candidates by shape and anchor predicate;
-2. **materialize** every conditional ranking the group needs exactly once
-   — predicate ranks, ``k(I | p)`` object tables, join and co-occurrence
-   tables — *keyed by interned integer IDs* on dictionary-encoded
-   backends, so table probes are int-dict lookups and no term is decoded
-   during scoring;
-3. **score** the whole queue in one tight pass over local references.
+Tables are built decode-free where the prominence model allows it
+(``entity_score_ids`` / ``predicate_score_ids``), lazily on first probe:
+the candidate engine's inline loop grabs the single-plan scorer via
+:meth:`QueueScorer.plan_scorer` and a missing table is built the first
+time a plan touches it.  The candidate sets behind each table come from
+the same ID-space scans the estimator uses
+(:func:`~repro.complexity.codes.joinable_predicate_ids` and friends) and
+ranks use the same tie-aware ranking, so scores are bit-identical to
+``estimator.complexity`` — pinned by the differential harness in
+``tests/core/test_candidate_engine.py``.
 
-The candidate sets behind each table come from the same ID-space scans
-the estimator uses (:func:`~repro.complexity.codes.joinable_predicate_ids`
-and friends), and ranks are computed with the same tie-aware ranking, so
-the scores are bit-identical to ``estimator.complexity`` — pinned by the
-differential harness in ``tests/core/test_candidate_engine.py``.
-
-**Kernel mode** (the default where available) goes two steps further:
-tables are built *decode-free* — the prominence model scores interned IDs
-directly (``entity_score_ids`` / ``predicate_score_ids``) wherever it can
-— and each rank is precompiled to its code length at build time
-(:func:`~repro.complexity.codes.log2_rank_table`), so the scoring loop is
-two dict probes and a float add per conditional code, with no ``log2``
-per probe.  Tables build lazily on first probe (no pre-pass over the
-plans); the candidate engine's inline loop grabs the single-plan scorer
-via :meth:`QueueScorer.plan_scorer`.  ``use_kernel=False`` keeps the
-original per-probe rank tables as the differential/A-B reference.
+The §3.5.3 power-law estimator compiles into the same tables: a
+predicate with an Eq. 1 fit gets its object codes from
+``fit.rank_bits(fr(I | p))`` instead of exact ranks, the very floats
+:meth:`~repro.complexity.powerlaw.PowerLawModel.estimated_rank_bits`
+returns.  There is one scoring mode.
 
 Tables persist for the scorer's lifetime: a :class:`~repro.core.batch.BatchMiner`
 holds one scorer (through its engine) and amortizes them across every
 request in the batch.  Concurrent use is safe the same way the estimator
 is: a racy double build computes identical tables from pure KB queries.
-
-The ID fast path requires ``mode="exact"`` (power-law object codes are
-per-(predicate, object) estimates, not rankings) and a backend with
-``supports_id_queries``; otherwise :meth:`score` transparently falls back
-to per-SE ``estimator.complexity`` calls, preserving exact behaviour.
+The tables need a backend with ``supports_id_queries``; on any other
+backend :meth:`QueueScorer.score` falls back to per-SE
+``estimator.complexity`` calls.
 """
 
 from __future__ import annotations
@@ -52,7 +47,6 @@ from repro.kb.epoch import CacheCoherence, EpochWatcher
 
 from repro.complexity.codes import (
     ComplexityEstimator,
-    _log2_rank,
     _tie_aware_ranks,
     co_occurring_predicate_ids,
     joinable_predicate_ids,
@@ -75,41 +69,30 @@ PLAN_SINGLE, PLAN_PATH, PLAN_STAR, PLAN_CLOSED = 0, 1, 2, 3
 #: magnitude below any code-length gap a prune could ever turn on.
 _BOUND_MARGIN = 1.0 - 2.0 ** -40
 
+#: A compiled conditional table: ``(bits_by_id, default_bits)``.
+_BitsTable = Tuple[Dict[int, float], float]
+
 
 class QueueScorer:
-    """Scores candidate queues against shared, ID-keyed rank tables.
+    """Scores candidate queues against shared, ID-keyed code-length tables.
 
     Wraps (and defers to) a :class:`~repro.complexity.codes.ComplexityEstimator`;
     construct one per estimator and reuse it — the tables it materializes
     are the whole point.
     """
 
-    def __init__(self, estimator: ComplexityEstimator, use_kernel: Optional[bool] = None):
+    def __init__(self, estimator: ComplexityEstimator):
         self.estimator = estimator
         kb = estimator.kb
-        self.id_mode = bool(
-            estimator.mode == "exact" and getattr(kb, "supports_id_queries", False)
-        )
-        #: Kernel scoring (default where available): conditional tables
-        #: hold *precompiled code lengths* (:func:`~repro.complexity.codes.log2_rank_table`)
-        #: and are built decode-free from ID-space prominence scores
-        #: (``entity_score_ids`` / ``predicate_score_ids``) when the
-        #: prominence model provides them.  ``use_kernel=False`` keeps the
-        #: per-probe rank tables — the differential/A-B reference path.
-        self.kernel_mode = self.id_mode and use_kernel is not False
-        # Conditional rank tables, keyed by interned IDs (ID mode only).
+        #: The tables are keyed by interned IDs: dictionary-encoded
+        #: backends only (elsewhere :meth:`score` defers per SE).
+        self.id_mode = bool(getattr(kb, "supports_id_queries", False))
         self._pred_bits: Dict[int, float] = {}
-        self._object_ranks: Dict[int, Dict[int, int]] = {}
-        self._join_ranks: Dict[int, Dict[int, int]] = {}
-        self._closed_ranks: Dict[int, Dict[int, int]] = {}
-        self._tail_ranks: Dict[Tuple[int, int], Dict[int, int]] = {}
-        # Kernel-mode tables: (bits_by_id, default_bits) per context key.
-        _BitsTable = Tuple[Dict[int, float], float]
         self._object_bits: Dict[int, _BitsTable] = {}
         self._join_bits: Dict[int, _BitsTable] = {}
         self._closed_bits: Dict[int, _BitsTable] = {}
         self._tail_bits: Dict[Tuple[int, int], _BitsTable] = {}
-        # Table floors memoized for the family-bound probes (kernel mode).
+        # Table floors memoized for the family-bound probes.
         self._floor_memo: Dict[tuple, float] = {}
         self._watch = EpochWatcher(kb)
 
@@ -118,7 +101,7 @@ class QueueScorer:
     # ------------------------------------------------------------------
 
     def _sync(self) -> None:
-        """Drop ID-keyed rank tables built at an older KB epoch (coarse —
+        """Drop ID-keyed tables built at an older KB epoch (coarse —
         same argument as the estimator's tables, which the wrapped
         estimator drops through its own guard)."""
         watch = self._watch
@@ -127,7 +110,7 @@ class QueueScorer:
 
     @property
     def coherence(self) -> CacheCoherence:
-        """Epoch-invalidation telemetry for the shared rank tables."""
+        """Epoch-invalidation telemetry for the shared tables."""
         return self._watch.coherence
 
     # ------------------------------------------------------------------
@@ -139,85 +122,54 @@ class QueueScorer:
 
         Bit-identical to ``[estimator.complexity(se) for se in ses]``.
         """
+        complexity = self.estimator.complexity
         if not self.id_mode:
-            complexity = self.estimator.complexity
             return [complexity(se) for se in ses]
-        return self.score_plans([self._plan(se) for se in ses], ses)
-
-    def score_plans(
-        self,
-        plans: Sequence[Optional[tuple]],
-        ses: Optional[Sequence[SubgraphExpression]] = None,
-    ) -> List[float]:
-        """Score prebuilt ``(PLAN_*, *ids)`` plans, in input order.
-
-        The candidate engine calls this with plans built directly from
-        its ID tuples, skipping the per-SE re-encoding of :meth:`score`.
-        *ses* supplies the per-SE fallback for ``None`` plans — and for
-        every plan when the ID fast path is off (power-law mode / hash
-        backend), where the plans are ignored entirely.
-        """
-        if not self.id_mode:
-            if ses is None:
-                raise ValueError("ses is required when the ID fast path is off")
-            complexity = self.estimator.complexity
-            return [complexity(se) for se in ses]
-        self._sync()
-        if self.kernel_mode:
-            # No pre-pass: the kernel scorer builds a missing table the
-            # first time a plan probes it (KeyError path), so the common
-            # warm case is a straight scan over the plans.
-            score_plan = self._score_plan_kernel
-        else:
-            self._ensure_tables(plans)
-            score_plan = self._score_plan
-        if ses is None:
-            if any(plan is None for plan in plans):
-                raise ValueError("ses is required when any plan is None")
-            return [score_plan(plan) for plan in plans]  # type: ignore[arg-type]
-        return [
-            score_plan(plan) if plan is not None else self.estimator.complexity(se)
-            for se, plan in zip(ses, plans)
-        ]
+        score_plan = self.plan_scorer()
+        out = []
+        for se in ses:
+            plan = self._plan(se)
+            out.append(complexity(se) if plan is None else score_plan(plan))
+        return out
 
     def plan_scorer(self):
         """An epoch-synced single-plan scorer for inline loops.
 
-        Kernel mode only: returns the bound ``plan -> Ĉ bits`` scorer the
-        candidate engine calls once per cold queue miss, with the epoch
-        check hoisted to this call (the engine's own guard brackets the
-        whole queue build).  Tables build on first probe, so there is no
-        pre-pass over the plans.
+        Returns the bound ``plan -> Ĉ bits`` scorer the candidate engine
+        calls once per cold queue miss, with the epoch check hoisted to
+        this call (the engine's own guard brackets the whole queue
+        build).  Tables build on first probe, so there is no pre-pass
+        over the plans.
         """
-        if not self.kernel_mode:
-            raise RuntimeError("plan_scorer() requires kernel mode; use score_plans()")
+        if not self.id_mode:
+            raise RuntimeError("plan_scorer() needs a backend with supports_id_queries")
         self._sync()
-        return self._score_plan_kernel
+        return self._score_plan
 
     def family_scorer(self):
         """An epoch-synced ``family -> admissible lower bound`` probe.
 
-        Kernel mode only.  A *family* names every plan sharing a shape and
-        its predicate skeleton, before any object is chosen::
+        A *family* names every plan sharing a shape and its predicate
+        skeleton, before any object is chosen::
 
             (PLAN_SINGLE, p)            all (p, o) single atoms
             (PLAN_PATH,   p0, p1)       all p0 ⋈ p1 paths, any tail object
             (PLAN_STAR,   p0, pa, pb)   both star atoms' predicates fixed
             (PLAN_CLOSED, anchor, n)    anchor + n closing predicates
 
-        The bound mirrors :meth:`_score_plan_kernel`'s additive formula
-        term for term, substituting each object-dependent term with its
-        table's floor (:func:`~repro.complexity.codes.rank_table_floor`) —
-        the shortest code any member could pay there — so no member of
-        the family can score below it.  Floors of tables that are not yet
+        The bound mirrors :meth:`_score_plan`'s additive formula term for
+        term, substituting each object-dependent term with its table's
+        floor (:func:`~repro.complexity.codes.rank_table_floor`) — the
+        shortest code any member could pay there — so no member of the
+        family can score below it.  Floors of tables that are not yet
         resident are taken as 0.0 instead of forcing a build: bounds must
         stay cheap relative to the scoring they prune, and 0.0 is always
         admissible.  Per-predicate join/closed tables (few, and needed by
         any surviving member anyway) *are* built on first probe, because
         ``join.get(p1)`` separates families far better than any floor.
         """
-        if not self.kernel_mode:
-            raise RuntimeError("family_scorer() requires kernel mode")
+        if not self.id_mode:
+            raise RuntimeError("family_scorer() needs a backend with supports_id_queries")
         self._sync()
         return self._family_bound
 
@@ -254,14 +206,14 @@ class QueueScorer:
         try:
             return self._join_bits[p0]
         except KeyError:
-            self._build_join_table(p0, self._join_bits)
+            self._build_join_table(p0)
             return self._join_bits[p0]
 
     def _closed_floor(self, anchor: int) -> float:
         floor = self._floor_memo.get(("closed", anchor))
         if floor is None:
             if anchor not in self._closed_bits:
-                self._build_closed_table(anchor, self._closed_bits)
+                self._build_closed_table(anchor)
             floor = rank_table_floor(self._closed_bits[anchor])
             self._floor_memo[("closed", anchor)] = floor
         return floor
@@ -282,31 +234,22 @@ class QueueScorer:
         return floor
 
     def table_stats(self) -> Dict[str, int]:
-        """How many conditional rankings are resident (serving telemetry).
-
-        Per instance only one family is populated — rank tables in the
-        legacy path, code-length tables in kernel mode — so the sums
-        report "rankings resident" uniformly across both.
-        """
+        """How many conditional tables are resident (serving telemetry)."""
         return {
             "predicate_bits": len(self._pred_bits),
-            "object_rank_tables": len(self._object_ranks) + len(self._object_bits),
-            "join_rank_tables": len(self._join_ranks) + len(self._join_bits),
-            "closed_rank_tables": len(self._closed_ranks) + len(self._closed_bits),
-            "tail_rank_tables": len(self._tail_ranks) + len(self._tail_bits),
+            "object_rank_tables": len(self._object_bits),
+            "join_rank_tables": len(self._join_bits),
+            "closed_rank_tables": len(self._closed_bits),
+            "tail_rank_tables": len(self._tail_bits),
         }
 
     def clear_tables(self) -> None:
-        """Drop every materialized ranking.
+        """Drop every materialized table.
 
         Runs automatically through the epoch guard when the KB mutates;
         manual calls are never required.
         """
         self._pred_bits.clear()
-        self._object_ranks.clear()
-        self._join_ranks.clear()
-        self._closed_ranks.clear()
-        self._tail_ranks.clear()
         self._object_bits.clear()
         self._join_bits.clear()
         self._closed_bits.clear()
@@ -314,7 +257,7 @@ class QueueScorer:
         self._floor_memo.clear()
 
     # ------------------------------------------------------------------
-    # phase 1: group by shape and anchor, encode to ID plans
+    # SE -> ID plan (the standalone score() entry point)
     # ------------------------------------------------------------------
 
     def _plan(self, se: SubgraphExpression) -> Optional[tuple]:
@@ -359,46 +302,13 @@ class QueueScorer:
         raise AssertionError(f"unhandled shape {se.shape}")
 
     # ------------------------------------------------------------------
-    # phase 2: materialize every needed conditional ranking once
+    # table builders (decode-free where the prominence model allows)
     # ------------------------------------------------------------------
-
-    def _ensure_tables(self, plans: Sequence[Optional[tuple]]) -> None:
-        """Legacy-path pre-pass (kernel mode builds on first probe)."""
-        object_tables = self._object_ranks
-        join_tables = self._join_ranks
-        closed_tables = self._closed_ranks
-        tail_tables = self._tail_ranks
-        for plan in plans:
-            if plan is None:
-                continue
-            tag = plan[0]
-            if tag == PLAN_SINGLE:
-                self._ensure_pred_bits(plan[1])
-                if plan[1] not in object_tables:
-                    self._build_object_table(plan[1], object_tables)
-            elif tag == PLAN_PATH:
-                self._ensure_pred_bits(plan[1])
-                if plan[1] not in join_tables:
-                    self._build_join_table(plan[1], join_tables)
-                if (plan[1], plan[2]) not in tail_tables:
-                    self._build_tail_table(plan[1], plan[2], tail_tables)
-            elif tag == PLAN_STAR:
-                self._ensure_pred_bits(plan[1])
-                if plan[1] not in join_tables:
-                    self._build_join_table(plan[1], join_tables)
-                if (plan[1], plan[2]) not in tail_tables:
-                    self._build_tail_table(plan[1], plan[2], tail_tables)
-                if (plan[1], plan[4]) not in tail_tables:
-                    self._build_tail_table(plan[1], plan[4], tail_tables)
-            else:
-                self._ensure_pred_bits(plan[1])
-                if plan[1] not in closed_tables:
-                    self._build_closed_table(plan[1], closed_tables)
 
     def _rank_entity_ids(self, ids) -> Dict[int, int]:
         """Tie-aware prominence ranks for an entity-ID candidate set.
 
-        Kernel mode asks the prominence model for ID-space scores first
+        Asks the prominence model for ID-space scores first
         (``entity_score_ids``, e.g. frequency counts straight off the
         interned indexes) and decodes only when the model has no ID path
         (PageRank) — the resulting ranks are identical either way, the
@@ -406,11 +316,10 @@ class QueueScorer:
         """
         ids = set(ids)
         prominence = self.estimator.prominence
-        if self.kernel_mode:
-            score_ids = getattr(prominence, "entity_score_ids", None)
-            scores = score_ids(ids) if score_ids is not None else None
-            if scores is not None:
-                return _tie_aware_ranks(ids, scores.__getitem__)
+        score_ids = getattr(prominence, "entity_score_ids", None)
+        scores = score_ids(ids) if score_ids is not None else None
+        if scores is not None:
+            return _tie_aware_ranks(ids, scores.__getitem__)
         term = self.estimator.kb.term_of_id  # type: ignore[attr-defined]
         score = prominence.entity_score
         return _tie_aware_ranks(ids, lambda i: score(term(i)))
@@ -418,91 +327,64 @@ class QueueScorer:
     def _rank_predicate_ids(self, ids) -> Dict[int, int]:
         ids = set(ids)
         prominence = self.estimator.prominence
-        if self.kernel_mode:
-            score_ids = getattr(prominence, "predicate_score_ids", None)
-            scores = score_ids(ids) if score_ids is not None else None
-            if scores is not None:
-                return _tie_aware_ranks(ids, scores.__getitem__)
+        score_ids = getattr(prominence, "predicate_score_ids", None)
+        scores = score_ids(ids) if score_ids is not None else None
+        if scores is not None:
+            return _tie_aware_ranks(ids, scores.__getitem__)
         term = self.estimator.kb.term_of_id  # type: ignore[attr-defined]
         score = prominence.predicate_score
         return _tie_aware_ranks(ids, lambda i: score(term(i)))
-
-    def _compiled(self, ranks: Dict[int, int]):
-        """Rank table → kernel form (precompiled code lengths) if enabled."""
-        return log2_rank_table(ranks) if self.kernel_mode else ranks
 
     def _ensure_pred_bits(self, p_id: int) -> None:
         if p_id not in self._pred_bits:
             predicate = self.estimator.kb.term_of_id(p_id)  # type: ignore[attr-defined]
             self._pred_bits[p_id] = self.estimator.predicate_bits(predicate)
 
-    def _build_object_table(self, p_id: int, tables: Dict) -> None:
+    def _build_object_table(self, p_id: int) -> None:
+        """``k(I | p)`` codes: exact ranks, or the predicate's Eq. 1 fit
+        evaluated at each object's conditional frequency (power-law
+        estimators; a predicate too small to fit keeps exact ranks)."""
         kb = self.estimator.kb
-        tables[p_id] = self._compiled(
-            self._rank_entity_ids(kb.object_ids_of_predicate_view(p_id))  # type: ignore[attr-defined]
+        objects = kb.object_ids_of_predicate_view(p_id)  # type: ignore[attr-defined]
+        fit = self.estimator.powerlaw_fit(kb.term_of_id(p_id))  # type: ignore[attr-defined]
+        if fit is None:
+            self._object_bits[p_id] = log2_rank_table(self._rank_entity_ids(objects))
+            return
+        subjects = kb.subjects_ids_view  # type: ignore[attr-defined]
+        self._object_bits[p_id] = (
+            {o: fit.rank_bits(float(len(subjects(p_id, o)))) for o in objects},
+            fit.rank_bits(0.0),
         )
 
-    def _build_join_table(self, p0_id: int, tables: Dict) -> None:
-        tables[p0_id] = self._compiled(
+    def _build_join_table(self, p0_id: int) -> None:
+        self._join_bits[p0_id] = log2_rank_table(
             self._rank_predicate_ids(joinable_predicate_ids(self.estimator.kb, p0_id))
         )
 
-    def _build_closed_table(self, anchor_id: int, tables: Dict) -> None:
-        tables[anchor_id] = self._compiled(
+    def _build_closed_table(self, anchor_id: int) -> None:
+        self._closed_bits[anchor_id] = log2_rank_table(
             self._rank_predicate_ids(co_occurring_predicate_ids(self.estimator.kb, anchor_id))
         )
 
-    def _build_tail_table(self, p0_id: int, p1_id: int, tables: Dict) -> None:
-        tables[(p0_id, p1_id)] = self._compiled(
+    def _build_tail_table(self, p0_id: int, p1_id: int) -> None:
+        self._tail_bits[(p0_id, p1_id)] = log2_rank_table(
             self._rank_entity_ids(tail_candidate_ids(self.estimator.kb, p0_id, p1_id))
         )
 
     # ------------------------------------------------------------------
-    # phase 3: one pass over the queue
+    # scoring: one queue entry per call
     # ------------------------------------------------------------------
 
     def _score_plan(self, plan: tuple) -> float:
-        tag = plan[0]
-        pred_bits = self._pred_bits
-        if tag == PLAN_SINGLE:
-            _, p, o = plan
-            ranks = self._object_ranks[p]
-            return pred_bits[p] + _log2_rank(ranks.get(o, len(ranks) + 1))
-        if tag == PLAN_PATH:
-            _, p0, p1, o = plan
-            join = self._join_ranks[p0]
-            tail = self._tail_ranks[(p0, p1)]
-            return (
-                pred_bits[p0]
-                + _log2_rank(join.get(p1, len(join) + 1))
-                + _log2_rank(tail.get(o, len(tail) + 1))
-            )
-        if tag == PLAN_STAR:
-            _, p0, p1, o1, p2, o2 = plan
-            join = self._join_ranks[p0]
-            bits = pred_bits[p0]
-            for p, o in ((p1, o1), (p2, o2)):
-                tail = self._tail_ranks[(p0, p)]
-                bits += _log2_rank(join.get(p, len(join) + 1))
-                bits += _log2_rank(tail.get(o, len(tail) + 1))
-            return bits
-        anchor = plan[1]
-        closed = self._closed_ranks[anchor]
-        bits = pred_bits[anchor]
-        for p in plan[2:]:
-            bits += _log2_rank(closed.get(p, len(closed) + 1))
-        return bits
-
-    def _score_plan_kernel(self, plan: tuple) -> float:
         """One queue entry against the precompiled code-length tables.
 
-        Same additive formula as :meth:`_score_plan`, but every probe is
-        ``table.get(id, default)`` — no ``log2``, no ``max``, no rank
-        arithmetic in the loop.  The floats are bit-identical because the
-        tables precompiled the very expression the per-probe path
-        evaluates (see :func:`~repro.complexity.codes.log2_rank_table`).
-        Missing tables surface as ``KeyError`` and are built on the spot
-        — the cold path of a warm-by-design loop.
+        Every probe is ``table.get(id, default)`` — no ``log2``, no
+        ``max``, no rank arithmetic in the loop.  The floats are
+        bit-identical to the estimator's because the tables precompiled
+        the very expression it evaluates per probe (see
+        :func:`~repro.complexity.codes.log2_rank_table`).  Missing tables
+        surface as ``KeyError`` and are built on the spot — the cold path
+        of a warm-by-design loop.
         """
         try:
             tag = plan[0]
@@ -537,26 +419,26 @@ class QueueScorer:
             return bits
         except KeyError:
             self._build_missing(plan)
-            return self._score_plan_kernel(plan)
+            return self._score_plan(plan)
 
     def _build_missing(self, plan: tuple) -> None:
-        """Materialize every table *plan* needs (kernel-mode cold path)."""
+        """Materialize every table *plan* needs (the cold path)."""
         tag = plan[0]
         self._ensure_pred_bits(plan[1])
         if tag == PLAN_SINGLE:
             if plan[1] not in self._object_bits:
-                self._build_object_table(plan[1], self._object_bits)
+                self._build_object_table(plan[1])
         elif tag in (PLAN_PATH, PLAN_STAR):
             if plan[1] not in self._join_bits:
-                self._build_join_table(plan[1], self._join_bits)
+                self._build_join_table(plan[1])
             if (plan[1], plan[2]) not in self._tail_bits:
-                self._build_tail_table(plan[1], plan[2], self._tail_bits)
+                self._build_tail_table(plan[1], plan[2])
             if tag == PLAN_STAR and (plan[1], plan[4]) not in self._tail_bits:
-                self._build_tail_table(plan[1], plan[4], self._tail_bits)
+                self._build_tail_table(plan[1], plan[4])
         else:
             if plan[1] not in self._closed_bits:
-                self._build_closed_table(plan[1], self._closed_bits)
+                self._build_closed_table(plan[1])
 
     def __repr__(self) -> str:
-        mode = "kernel" if self.kernel_mode else ("id" if self.id_mode else "fallback")
+        mode = "tables" if self.id_mode else "per-se"
         return f"QueueScorer(mode={mode}, estimator={self.estimator!r})"

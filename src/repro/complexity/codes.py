@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from repro.complexity.powerlaw import PowerLawModel
+from repro.complexity.powerlaw import PowerLawFit, PowerLawModel
 from repro.complexity.ranking import Prominence
 from repro.expressions.expression import Expression
 from repro.expressions.subgraph import Shape, SubgraphExpression
@@ -97,13 +97,13 @@ def tail_candidate_ids(kb: KnowledgeBase, p0_id: int, p1_id: int) -> "set[int]":
 def log2_rank_table(ranks: dict) -> "Tuple[Dict[int, float], float]":
     """A rank table precompiled to code lengths: ``(bits_by_key, default)``.
 
-    The batch scorer's kernel mode probes conditional tables hundreds of
-    thousands of times per queue; applying :func:`_log2_rank` once per
-    *table entry* at build time (instead of once per *probe*) keeps the
-    scoring loop to two dict gets and a float add.  ``default`` is the
-    out-of-table code ``log2(len + 1)`` — the same float
-    ``ranks.get(key, len + 1)`` would have produced, so scores stay
-    bit-identical to the per-probe path.
+    The batch scorer probes conditional tables hundreds of thousands of
+    times per queue; applying :func:`_log2_rank` once per *table entry*
+    at build time (instead of once per *probe*) keeps the scoring loop to
+    two dict gets and a float add.  ``default`` is the out-of-table code
+    ``log2(len + 1)`` — the same float the estimator's
+    ``ranks.get(key, len + 1)`` produces, so scores stay bit-identical
+    to :meth:`ComplexityEstimator.complexity`.
     """
     return (
         {key: _log2_rank(rank) for key, rank in ranks.items()},
@@ -235,6 +235,15 @@ class ComplexityEstimator:
         if expression.is_top:
             return math.inf
         return sum(self.complexity(se) for se in expression.conjuncts)
+
+    def powerlaw_fit(self, predicate: IRI) -> Optional[PowerLawFit]:
+        """The Eq. 1 fit behind *predicate*'s object codes, or ``None``
+        when they are exact ranks (exact mode, or too few objects to
+        fit) — what the batch scorer compiles its object tables from."""
+        self._sync()
+        if self._powerlaw is None:
+            return None
+        return self._powerlaw.fit_for(predicate)
 
     def predicate_bits(self, predicate: IRI) -> float:
         """l(p_b) = log2 of the predicate's global prominence rank."""

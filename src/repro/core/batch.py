@@ -330,9 +330,6 @@ class BatchMiner:
     mode:
         Registry key of the complexity estimator
         (:data:`repro.registry.ESTIMATORS`), forwarded to the miner.
-    parallel:
-        Deprecated alias for ``miner="premi"`` (intra-request
-        parallelism); kept so pre-service callers keep working.
     workers:
         Number of concurrent requests (inter-request parallelism).  The
         default of 1 answers requests in order on the calling thread.
@@ -343,20 +340,12 @@ class BatchMiner:
         kb: BaseKnowledgeBase,
         prominence: str = "fr",
         config: Optional[MinerConfig] = None,
-        parallel: bool = False,
         workers: int = 1,
-        miner: Optional[str] = None,
+        miner: str = "remi",
         mode: str = "exact",
     ):
         if workers < 1:
             raise ValueError(f"workers must be ≥ 1, got {workers}")
-        if miner is None:
-            miner = "premi" if parallel else "remi"
-        elif parallel and miner != "premi":
-            raise ValueError(
-                f"parallel=True conflicts with miner={miner!r}; "
-                "pass miner='premi' (parallel is a deprecated alias)"
-            )
         self.kb = kb
         self.miner_name = miner
         self.miner = MINERS.create(

@@ -5,51 +5,43 @@ subgraph expressions of the seed target, intersect across the remaining
 targets, score every survivor with Ĉ, sort the queue — and is shared by
 :class:`~repro.core.remi.REMI`, :class:`~repro.core.parallel.PREMI` and
 :class:`~repro.core.batch.BatchMiner` (whose requests amortize one
-engine's memos and rank tables).
+engine's memos and code-length tables).
 
-Two interchangeable execution paths produce bit-identical queues:
+The backend selects one of two paths, which produce bit-identical queues:
 
 * **ID space** (dictionary-encoded backends, ``supports_id_queries``) —
-  the default on :class:`~repro.kb.interned.InternedKnowledgeBase`.
-  Candidates exist as plain ``int`` tuples until they survive
-  intersection: neighbourhoods, second-hop tails, closed-pair
-  co-occurrence and the §3.5.2 prominence/blank-node prunes all run over
-  ``set[int]`` adjacency views.  In the default **kernel** flavour
-  (``use_kernel=True`` where available) the cross-target intersection is
-  pure set algebra over the KB's shared
-  :class:`~repro.kb.idset.MaskStore` — a candidate survives a target iff
-  the right adaptive :class:`~repro.kb.idset.IdSet` intersections are
+  the mask kernel.  Candidates exist as plain ``int`` tuples until they
+  are touched: neighbourhoods, second-hop tails, closed-pair
+  co-occurrence and the §3.5.2 prominence/blank-node prunes run over
+  ``set[int]`` adjacency views; the cross-target intersection is pure
+  set algebra over the KB's shared :class:`~repro.kb.idset.MaskStore` —
+  a candidate survives a target iff the right bitmask intersections are
   non-empty (e.g. a path ``p0(x,y) ∧ p1(y,I)`` iff
-  ``objects(t, p0) ∩ subjects(p1, I) ≠ ∅``) — and scoring runs against
-  the scorer's precompiled code-length tables, with queue entries decoded
-  into :class:`~repro.expressions.subgraph.SubgraphExpression` objects
-  *lazily*: only the entries the search (or any other consumer) actually
-  touches are materialized, once per distinct candidate per engine
-  (:class:`CandidateQueue`).  With ``use_kernel=False`` the engine runs
-  the original per-element path — per-target satisfaction sets (memoized
-  per-hub ``(p, o)`` pair sets), eager decode, per-probe rank tables —
-  kept as the differential and A/B reference (see
-  ``benchmarks/bench_pipeline.py --ab``).  Both flavours are the
-  "compile the symbolic problem into dense integer structures" move the
-  interned matcher already made for Alg. 2.
+  ``objects(t, p0) ∩ subjects(p1, I) ≠ ∅``); scoring runs against the
+  :class:`~repro.complexity.batch.QueueScorer`'s precompiled code-length
+  tables (the §3.5.3 power-law estimator included); and queue entries
+  decode into :class:`~repro.expressions.subgraph.SubgraphExpression`
+  objects *lazily*: only the entries the search (or any other consumer)
+  actually touches are materialized, once per distinct candidate per
+  engine (:class:`CandidateQueue`).  This is the "compile the symbolic
+  problem into dense integer structures" move the interned matcher
+  already made for Alg. 2.
 
-* **Term space** (hash backend, or ``use_id_space=False``) — exactly the
-  seed behaviour: :func:`~repro.core.enumerate.subgraph_expressions` on
-  the seed entity, ``matcher.holds_for`` per expression per remaining
-  target, per-expression ``estimator.complexity``.  P-REMI's threaded
-  Ĉ-scoring fan-out (§3.5.2: "we parallelized the construction and
-  sorting of the queue") survives as the ``score_threads`` option on
-  this path; the ID path makes it moot (scoring is table lookups).
+* **Term space** (every other backend, i.e. the hash store) — exactly
+  the seed behaviour and the differential oracle:
+  :func:`~repro.core.enumerate.subgraph_expressions` on the seed entity,
+  ``matcher.holds_for`` per expression per remaining target,
+  per-expression ``estimator.complexity``.
 
 The two paths are pinned against each other — and against the seed
 functions in :mod:`repro.core.enumerate` — by the differential harness in
 ``tests/core/test_candidate_engine.py`` (candidate sets and Ĉ values
-bit-identical on both backends).
+bit-identical on both backends, exact and power-law estimators).
 
 The engine's memos are epoch-coherent: every :meth:`CandidateEngine.candidates`
 call checks the KB epoch (:mod:`repro.kb.epoch`) and absorbs any mutation
 before serving — Ĉ-bearing memos clear coarsely (one triple can move any
-conditional rank), while the per-hub tail/pair memos repair incrementally
+conditional rank), while the per-hub tail memo repairs incrementally
 when the KB's mutation log still covers the gap (only touched hubs drop).
 The term-identity memos (admissible predicates, term kinds, decoded
 atoms) survive mutations untouched: interned IDs are never reused, so
@@ -62,7 +54,6 @@ import math
 import threading
 import time
 from bisect import insort
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 from operator import itemgetter
 from typing import (
@@ -108,19 +99,14 @@ _IRI, _BLANK, _LITERAL = 0, 1, 2
 _UNSET = object()
 
 
-def _entry_key(entry: Tuple[SubgraphExpression, float, tuple]) -> Tuple[float, tuple]:
-    """Alg. 1 line 2 order: (Ĉ bits, canonical SE key) — the key is
-    memoized per candidate, so repeat requests never rebuild it."""
-    return (entry[1], entry[2])
-
-
-#: Kernel queue records are ``[Ĉ bits, SE sort key, decoded SE | None,
-#: shape index, ID key]`` — same Alg. 1 line 2 order, first two fields.
-_kernel_entry_key = itemgetter(0, 1)
+#: Queue records are ``[Ĉ bits, SE sort key, decoded SE | None, shape
+#: index, ID key]``; the first two fields are the Alg. 1 line 2 order (the
+#: SE key is memoized per candidate, so repeat requests never rebuild it).
+_entry_key = itemgetter(0, 1)
 
 
 class CandidateQueue(Sequence):
-    """The sorted queue with decode-on-touch entries (the kernel path).
+    """The sorted queue with decode-on-touch entries.
 
     Behaves as a ``Sequence[ScoredSE]`` — the search indexes and iterates
     it exactly like the eager list — but a queue entry's
@@ -155,8 +141,8 @@ class CandidateQueue(Sequence):
         #: Decoded ``(se, bits)`` pairs, filled per index on first touch.
         self._pairs: List[Optional[ScoredSE]] = [None] * len(entries)
         self._decode = decode
-        #: The deferred remainder: a sorted record list (reference paths)
-        #: or a closure that scores-and-sorts it on demand (kernel path).
+        #: The deferred remainder: a sorted record list (Term space) or
+        #: a closure that scores-and-sorts it on demand (ID space).
         #: ``None`` once inflated — or when the queue was built exact.
         self._tail = tail
         self._lock = threading.Lock()
@@ -268,25 +254,14 @@ class CandidateEngine:
     Parameters
     ----------
     kb:
-        Any backend; dictionary-encoded ones get the ID-space path.
+        Any backend; dictionary-encoded ones (``supports_id_queries``) get
+        the ID-space mask-kernel path, all others the Term-space path.
     config, matcher, estimator:
         The miner's collaborators; defaults are built when omitted (a
         standalone engine is handy in tests and benchmarks).
     prominent:
         The §3.5.2 top-prominence cutoff set, or a zero-argument callable
         returning it (miners pass their lazy property).
-    score_threads:
-        Ĉ-scoring fan-out width for the Term-space path (P-REMI's §3.5.2
-        parallel queue construction).  Ignored on the ID path.
-    use_id_space:
-        Force a path; ``None`` auto-selects (ID space iff the backend
-        supports it).  The benchmark uses ``False`` to measure the
-        Term-space baseline on the same backend.
-    use_kernel:
-        Force the ID-space flavour; ``None`` auto-selects (kernel iff the
-        backend exposes a :class:`~repro.kb.idset.MaskStore`).  ``False``
-        pins the original per-element set path — the A/B and differential
-        reference of ``bench_pipeline.py --ab``.
     """
 
     def __init__(
@@ -296,9 +271,6 @@ class CandidateEngine:
         matcher: Optional[Matcher] = None,
         estimator: Optional[ComplexityEstimator] = None,
         prominent: Union[None, FrozenSet[Term], Callable[[], FrozenSet[Term]]] = None,
-        score_threads: int = 1,
-        use_id_space: Optional[bool] = None,
-        use_kernel: Optional[bool] = None,
     ):
         self.kb = kb
         self.config = config or MinerConfig()
@@ -313,41 +285,28 @@ class CandidateEngine:
         self._prominent_supplier: Callable[[], FrozenSet[Term]] = (
             prominent if callable(prominent) else (lambda: prominent)  # type: ignore[assignment, return-value]
         )
-        self.score_threads = score_threads
-        supports_ids = bool(getattr(kb, "supports_id_queries", False))
-        self.id_space = supports_ids if use_id_space is None else (use_id_space and supports_ids)
-        has_masks = self.id_space and hasattr(kb, "masks")
-        wants_kernel = has_masks if use_kernel is None else (use_kernel and has_masks)
-        self.scorer = QueueScorer(estimator, use_kernel=wants_kernel)
-        #: Mask-native intersection needs only ``kb.masks`` — it stays on
-        #: even when scoring cannot go kernel (below).
-        self.kernel_intersect = wants_kernel
-        #: Kernel scoring + lazy decode additionally need the scorer's
-        #: plan tables (powerlaw estimators score per SE, which needs the
-        #: decoded expressions — they take the eager path).
-        self.kernel = wants_kernel and self.scorer.kernel_mode
+        #: The mask-kernel ID path; otherwise the Term-space oracle.
+        self.id_space = bool(getattr(kb, "supports_id_queries", False))
+        self.scorer = QueueScorer(estimator)
         # Read-only-KB memos (ID space), keyed by stable interned IDs.
         self._admit: Dict[int, bool] = {}
         self._kinds: Dict[int, int] = {}
         self._pred_values: Dict[int, str] = {}
         self._pred_ranks: Dict[int, int] = {}
         self._tails_memo: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-        self._hub_pairs_memo: Dict[int, FrozenSet[Tuple[int, int]]] = {}
         self._prominent_memo: Optional[Tuple[FrozenSet[Term], FrozenSet[int]]] = None
-        # Materialization memos.  Atoms (and their sort keys) recur across
-        # many candidates — one tail atom appears in every star through
-        # its hub — and whole candidates recur across requests (shared
+        # Candidate memos.  Atoms (and their sort keys) recur across many
+        # candidates — one tail atom appears in every star through its
+        # hub — and whole candidates recur across requests (shared
         # classes, shared hubs), so both levels are memoized per engine:
         #   atom memos: ID pair -> (Atom, atom sort key), split by role;
-        #   SE memos:   ID tuple -> (decoded SE, Ĉ bits, SE sort key),
-        #               one dict per shape (raw ID tuples can collide).
+        #   SE memos:   ID tuple -> queue record (see _entry_key), one
+        #               dict per shape (raw ID tuples can collide).
         # A repeat candidate costs one dict probe per request.
         self._root_atoms: Dict[int, Tuple[Atom, tuple]] = {}
         self._bound_atoms: Dict[Tuple[int, int], Tuple[Atom, tuple]] = {}
         self._star_atoms: Dict[Tuple[int, int], Tuple[Atom, tuple]] = {}
-        self._se_memos: Tuple[
-            Dict[tuple, Tuple[SubgraphExpression, float, tuple]], ...
-        ] = ({}, {}, {}, {}, {})
+        self._se_memos: Tuple[Dict[tuple, list], ...] = ({}, {}, {}, {}, {})
         self.se_memo_limit = 1 << 20  # entries across shapes; cleared when exceeded
         self._watch = EpochWatcher(kb)
 
@@ -364,14 +323,14 @@ class CandidateEngine:
         """The sorted priority queue of common subgraph expressions.
 
         Fills the per-phase counters (``enumerated`` / ``intersected_out``
-        / ``scored``) and timings on *stats*.  On the kernel path the
-        result is a :class:`CandidateQueue` (lazy decode); otherwise a
-        plain list — both index and iterate as ``(SE, Ĉ bits)`` pairs.
+        / ``scored``) and timings on *stats*.  On the ID path the result
+        is a :class:`CandidateQueue` (lazy decode); on the Term-space path
+        a plain list — both index and iterate as ``(SE, Ĉ bits)`` pairs.
 
         *top_k* bounds the build: only the first-k prefix of the sorted
         order is scored and ordered eagerly (branch-and-bound over
-        candidate families on the kernel path; a sorted split on the
-        reference paths), with the remainder deferred behind
+        candidate families on the ID path; a sorted split on the
+        Term-space path), with the remainder deferred behind
         :meth:`CandidateQueue.extend_frontier`.  Omit it to use the
         config's ``top_k``; pass ``None`` for the exact full queue.  In
         bounded mode ``stats.candidates``/``stats.scored`` count the
@@ -389,38 +348,33 @@ class CandidateEngine:
         if self.id_space:
             cand = self._intersected_ids(targets, stats)
             t1 = time.perf_counter()
-            if self.kernel:
-                if k is not None and cand.total() > k:
-                    frontier, tail = self._score_kernel_topk(cand, k, stats)
-                    t2 = time.perf_counter()
-                    scored = CandidateQueue(frontier, self._decode_entry, tail=tail)
-                else:
-                    entries = self._score_kernel(cand)
-                    stats.scored += len(entries)
-                    t2 = time.perf_counter()
-                    entries.sort(key=_kernel_entry_key)
-                    scored = CandidateQueue(entries, self._decode_entry)
+            if k is not None and cand.total() > k:
+                frontier, tail = self._score_kernel_topk(cand, k, stats)
+                t2 = time.perf_counter()
+                scored = CandidateQueue(frontier, self._decode_entry, tail=tail)
             else:
-                entries = self._materialize(cand)
+                entries = self._score_kernel(cand)
                 stats.scored += len(entries)
                 t2 = time.perf_counter()
                 entries.sort(key=_entry_key)
-                if k is not None and len(entries) > k:
-                    scored = self._split_eager(
-                        [[bits, se_key, se] for se, bits, se_key in entries], k, stats
-                    )
-                else:
-                    scored = [(se, bits) for se, bits, _ in entries]
+                scored = CandidateQueue(entries, self._decode_entry)
         else:
-            survivors = list(self._common_term_space(targets, stats))
+            survivors = self._common_term_space(targets, stats)
             t1 = time.perf_counter()
-            scored = self._score(survivors)
+            complexity = self.estimator.complexity
+            scored = [(se, complexity(se)) for se in survivors]
             stats.scored += len(scored)
             t2 = time.perf_counter()
             scored.sort(key=lambda pair: (pair[1], pair[0].sort_key()))
             if k is not None and len(scored) > k:
-                scored = self._split_eager(
-                    [[bits, se.sort_key(), se] for se, bits in scored], k, stats
+                # Bounded top-k on the oracle path: an exact split of the
+                # fully scored queue into frontier + deferred tail (no
+                # bounds involved) — it models only the *streaming* half
+                # of the contract.
+                records = [[bits, se.sort_key(), se] for se, bits in scored]
+                stats.heap_peak = max(stats.heap_peak, k)
+                scored = CandidateQueue(
+                    records[:k], self._decode_entry, tail=records[k:]
                 )
         t3 = time.perf_counter()
         stats.enumerate_seconds += t1 - t0
@@ -428,17 +382,6 @@ class CandidateEngine:
         stats.sort_seconds += t3 - t2
         stats.candidates = len(scored)
         return scored
-
-    def _split_eager(
-        self, records: List[list], k: int, stats: SearchStats
-    ) -> "CandidateQueue":
-        """Bounded top-k on the reference paths: the already-sorted,
-        fully-scored records split into frontier + deferred tail.  Exact
-        by construction (no bounds involved) — these paths exist as the
-        differential reference, so they pay the full build and only model
-        the *streaming* half of the contract."""
-        stats.heap_peak = max(stats.heap_peak, k)
-        return CandidateQueue(records[:k], self._decode_entry, tail=records[k:])
 
     def common(
         self, targets: Sequence[Term], stats: Optional[SearchStats] = None
@@ -456,15 +399,14 @@ class CandidateEngine:
         """Resident shared state (serving telemetry for BatchMiner)."""
         stats = dict(self.scorer.table_stats())
         stats["hub_tail_memos"] = len(self._tails_memo)
-        stats["hub_pair_memos"] = len(self._hub_pairs_memo)
         stats["candidate_memos"] = sum(len(m) for m in self._se_memos)
-        if self.kernel_intersect:
+        if self.id_space:
             for family, count in self.kb.masks.stats().items():  # type: ignore[attr-defined]
                 stats[f"mask_{family}"] = count
         return stats
 
     def clear_caches(self) -> None:
-        """Drop EVERY memo and rank table — the full manual reset.
+        """Drop EVERY memo and code-length table — the full manual reset.
 
         Mutation coherence does not need this any more (the epoch guard
         in :meth:`candidates`/:meth:`common` absorbs KB updates
@@ -476,7 +418,6 @@ class CandidateEngine:
         self._pred_values.clear()
         self._pred_ranks.clear()
         self._tails_memo.clear()
-        self._hub_pairs_memo.clear()
         self._prominent_memo = None
         self._root_atoms.clear()
         self._bound_atoms.clear()
@@ -494,7 +435,7 @@ class CandidateEngine:
 
         Ĉ-bearing memos (scored candidates, predicate ranks, prominent
         IDs) clear coarsely — one triple can shift any conditional rank.
-        The per-hub tail/pair memos are keyed by the mutated subject, so
+        The per-hub tail memo is keyed by the mutated subject, so
         when the KB's bounded mutation log covers the gap only the
         touched hubs are dropped (a "repair", even though the Ĉ memos
         still clear within it); the term-identity memos (``_admit``,
@@ -521,34 +462,16 @@ class CandidateEngine:
         touched.discard(None)
         for hub_id in touched:
             self._tails_memo.pop(hub_id, None)
-            self._hub_pairs_memo.pop(hub_id, None)
         return True
 
     def _drop_kb_memos(self) -> None:
         self._drop_complexity_memos()
         self._tails_memo.clear()
-        self._hub_pairs_memo.clear()
 
     @property
     def coherence(self) -> CacheCoherence:
         """Epoch-invalidation telemetry for the engine's memos."""
         return self._watch.coherence
-
-    # ------------------------------------------------------------------
-    # Term-space scoring (phase 2): per-SE estimator, optional fan-out
-    # ------------------------------------------------------------------
-
-    def _score(self, ses: List[SubgraphExpression]) -> List[ScoredSE]:
-        """Seed scoring semantics for the Term-space path (the ID path
-        batch-scores inside :meth:`_materialize` instead)."""
-        if self.score_threads > 1 and len(ses) > 64:
-            workers = min(self.score_threads, max(1, len(ses)))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                bits = list(pool.map(self.estimator.complexity, ses))
-        else:
-            complexity = self.estimator.complexity
-            bits = [complexity(se) for se in ses]
-        return list(zip(ses, bits))
 
     # ------------------------------------------------------------------
     # Term-space path (exact seed behaviour; see enumerate.py)
@@ -576,7 +499,7 @@ class CandidateEngine:
         return expressions
 
     # ------------------------------------------------------------------
-    # ID-space path: enumerate → intersect → decode survivors
+    # ID-space path: enumerate → intersect → score → decode on touch
     # ------------------------------------------------------------------
 
     def _intersected_ids(
@@ -587,18 +510,13 @@ class CandidateEngine:
         cand = self._enumerate_ids(kb.term_id(seed))  # type: ignore[attr-defined]
         enumerated = cand.total()
         stats.enumerated += enumerated
-        intersect = (
-            self._intersect_target_kernel
-            if self.kernel_intersect
-            else self._intersect_target
-        )
         t_intersect = time.perf_counter()
         for t in targets:
             if t == seed:
                 continue
             if cand.total() == 0:
                 break
-            intersect(cand, kb.term_id(t))  # type: ignore[attr-defined]
+            self._intersect_target(cand, kb.term_id(t))  # type: ignore[attr-defined]
         stats.intersect_seconds += time.perf_counter() - t_intersect
         stats.intersected_out += enumerated - cand.total()
         return cand
@@ -678,20 +596,6 @@ class CandidateEngine:
             self._tails_memo[hub_id] = tails
         return tails
 
-    def _hub_pairs(self, entity_id: int) -> FrozenSet[Tuple[int, int]]:
-        """ALL ``(p, o)`` pairs of an entity — the satisfaction view used
-        by intersection (no prunes: a target satisfies a path through a
-        prominent hub even though enumeration would not derive it)."""
-        pairs = self._hub_pairs_memo.get(entity_id)
-        if pairs is None:
-            pairs = frozenset(
-                (p, o)
-                for p, objs in self.kb.predicate_object_items_ids(entity_id)  # type: ignore[attr-defined]
-                for o in objs
-            )
-            self._hub_pairs_memo[entity_id] = pairs
-        return pairs
-
     # -- enumeration (mirrors enumerate.subgraph_expressions) ------------
 
     def _enumerate_ids(self, entity_id: Optional[int]) -> _IdCandidates:
@@ -768,81 +672,14 @@ class CandidateEngine:
     # -- cross-target intersection ---------------------------------------
 
     def _intersect_target(self, cand: _IdCandidates, target_id: Optional[int]) -> None:
-        """Keep only candidates *target* satisfies (semantics of
-        ``matcher.holds_for``, evaluated as set algebra over adjacency)."""
-        if target_id is None:
-            cand.clear()  # never interned ⇒ satisfies nothing
-            return
-        # Live views: every result is consumed within this call.
-        objects = self.kb.objects_ids_view  # type: ignore[attr-defined]
-
-        if cand.singles:
-            cand.singles = {c for c in cand.singles if c[1] in objects(target_id, c[0])}
-
-        if cand.paths:
-            sat_by_p0: Dict[int, Set[Tuple[int, int]]] = {}
-            hub_pairs = self._hub_pairs
-            surviving_paths: Set[Tuple[int, int, int]] = set()
-            for c in cand.paths:
-                sat = sat_by_p0.get(c[0])
-                if sat is None:
-                    sat = set()
-                    for y in objects(target_id, c[0]):
-                        sat |= hub_pairs(y)
-                    sat_by_p0[c[0]] = sat
-                if (c[1], c[2]) in sat:
-                    surviving_paths.add(c)
-            cand.paths = surviving_paths
-
-        if cand.stars:
-            by_p0: Dict[int, List[Tuple[int, Tuple[int, int], Tuple[int, int]]]] = {}
-            for c in cand.stars:
-                by_p0.setdefault(c[0], []).append(c)
-            surviving_stars: Set[Tuple[int, Tuple[int, int], Tuple[int, int]]] = set()
-            for p0, remaining in by_p0.items():
-                # Both star atoms must hold through ONE hub; sweep hubs,
-                # retiring candidates as soon as some hub satisfies both.
-                for y in objects(target_id, p0):
-                    if not remaining:
-                        break
-                    pairs = self._hub_pairs(y)
-                    if not pairs:
-                        continue
-                    still: List[Tuple[int, Tuple[int, int], Tuple[int, int]]] = []
-                    for c in remaining:
-                        if c[1] in pairs and c[2] in pairs:
-                            surviving_stars.add(c)
-                        else:
-                            still.append(c)
-                    remaining = still
-            cand.stars = surviving_stars
-
-        if cand.closed2:
-            cand.closed2 = {
-                c
-                for c in cand.closed2
-                if not objects(target_id, c[0]).isdisjoint(objects(target_id, c[1]))
-            }
-
-        if cand.closed3:
-            surviving_closed: Set[Tuple[int, int, int]] = set()
-            for pa, pb, pc in cand.closed3:
-                shared = objects(target_id, pa) & objects(target_id, pb)
-                if shared and not shared.isdisjoint(objects(target_id, pc)):
-                    surviving_closed.add((pa, pb, pc))
-            cand.closed3 = surviving_closed
-
-    def _intersect_target_kernel(
-        self, cand: _IdCandidates, target_id: Optional[int]
-    ) -> None:
-        """:meth:`_intersect_target` as pure kernel set algebra.
+        """Keep only candidates *target* satisfies (the semantics of
+        ``matcher.holds_for``), as pure kernel set algebra.
 
         Every satisfaction test is an :class:`~repro.kb.idset.IdSet`
         intersection over the KB's shared
         :class:`~repro.kb.idset.MaskStore` — the same cached binding sets
         the matcher's plans read, amortized across targets, shapes and
-        requests (the legacy path instead unions per-hub pair sets per
-        target).  The algebra per shape, for target ``t``:
+        requests.  The algebra per shape, for target ``t``:
 
         * single ``p(x, I)``          — ``I ∈ objects(t, p)``;
         * path ``p0(x,y) ∧ p1(y,I)``  — ``objects(t, p0) ∩ subjects(p1, I) ≠ ∅``;
@@ -955,127 +792,28 @@ class CandidateEngine:
         return entry
 
     def _evict_if_needed(self) -> None:
-        """Bound the cross-request memos (shared by both ID flavours)."""
-        occupancy = (
-            sum(len(m) for m in self._se_memos)
-            + len(self._hub_pairs_memo)
-            + len(self._tails_memo)
-        )
+        """Bound the cross-request memos."""
+        occupancy = sum(len(m) for m in self._se_memos) + len(self._tails_memo)
         if occupancy > self.se_memo_limit:
             for m in self._se_memos:
                 m.clear()
             self._root_atoms.clear()
             self._bound_atoms.clear()
             self._star_atoms.clear()
-            # The per-hub memos asymptotically duplicate the SPO index;
-            # they must not outlive the eviction that bounds everything
+            # The per-hub memo asymptotically duplicates the SPO index;
+            # it must not outlive the eviction that bounds everything
             # else, or a long request stream grows RSS without bound.
-            self._hub_pairs_memo.clear()
             self._tails_memo.clear()
-
-    def _materialize(
-        self, cand: _IdCandidates
-    ) -> List[Tuple[SubgraphExpression, float, tuple]]:
-        """``(SE, Ĉ, sort key)`` entries for every survivor, via the
-        cross-request memos.  Misses assemble their SE from memoized
-        atoms — in canonical order, decided by the cached atom sort keys,
-        so the constructors' re-sorting and per-SE ``sort_key()`` calls
-        are skipped — and are planned in ID space (no re-encoding) and
-        batch-scored against the shared rank tables in one pass."""
-        memos = self._se_memos
-        self._evict_if_needed()
-        out: List[Tuple[SubgraphExpression, float, tuple]] = []
-        append = out.append
-        # (memo, key, decoded SE, SE sort key, scoring plan) per miss.
-        misses: List[Tuple[Dict, tuple, SubgraphExpression, tuple, tuple]] = []
-
-        memo = memos[0]
-        get = memo.get
-        for key in cand.singles:
-            entry = get(key)
-            if entry is not None:
-                append(entry)
-            else:
-                atom, atom_key = self._bound_atom(key[0], key[1])
-                se = SubgraphExpression(Shape.SINGLE_ATOM, (atom,))
-                misses.append((memo, key, se, (atom_key,), (PLAN_SINGLE,) + key))
-
-        memo = memos[1]
-        get = memo.get
-        for key in cand.paths:
-            entry = get(key)
-            if entry is not None:
-                append(entry)
-            else:
-                hop, hop_key = self._root_atom(key[0])
-                tail, tail_key = self._star_atom(key[1], key[2])
-                se = SubgraphExpression(Shape.PATH, (hop, tail))
-                misses.append((memo, key, se, (hop_key, tail_key), (PLAN_PATH,) + key))
-
-        memo = memos[2]
-        get = memo.get
-        for key in cand.stars:
-            entry = get(key)
-            if entry is not None:
-                append(entry)
-            else:
-                p0, (p1, o1), (p2, o2) = key
-                hop, hop_key = self._root_atom(p0)
-                a1, k1 = self._star_atom(p1, o1)
-                a2, k2 = self._star_atom(p2, o2)
-                # Canonical star order (what path_star() would sort into),
-                # decided on the cached atom keys.  Ĉ sums the stars in
-                # this order, so the plan follows it — that keeps the
-                # float summation bit-identical to the estimator's.
-                if k2 < k1:
-                    a1, a2, k1, k2 = a2, a1, k2, k1
-                    plan = (PLAN_STAR, p0, p2, o2, p1, o1)
-                else:
-                    plan = (PLAN_STAR, p0, p1, o1, p2, o2)
-                se = SubgraphExpression(Shape.PATH_STAR, (hop, a1, a2))
-                misses.append((memo, key, se, (hop_key, k1, k2), plan))
-
-        pred_rank = self._pred_rank
-        root_atom = self._root_atom
-        for memo, keys, shape in (
-            (memos[3], cand.closed2, Shape.CLOSED_2),
-            (memos[4], cand.closed3, Shape.CLOSED_3),
-        ):
-            get = memo.get
-            for key in keys:
-                entry = get(key)
-                if entry is not None:
-                    append(entry)
-                else:
-                    pairs = [root_atom(p) for p in key]
-                    # The key is predicate-value-sorted == the canonical
-                    # atom order; the stable rank sort is therefore the
-                    # estimator's anchor selection exactly.
-                    se = SubgraphExpression(shape, tuple(a for a, _ in pairs))
-                    se_key = tuple(k for _, k in pairs)
-                    plan = (PLAN_CLOSED,) + tuple(sorted(key, key=pred_rank))
-                    misses.append((memo, key, se, se_key, plan))
-
-        if misses:
-            bits = self.scorer.score_plans(
-                [plan for _, _, _, _, plan in misses],
-                [se for _, _, se, _, _ in misses],
-            )
-            for (memo, key, se, se_key, _), se_bits in zip(misses, bits):
-                entry = (se, se_bits, se_key)
-                memo[key] = entry
-                append(entry)
-        return out
 
     # -- kernel scoring: plan + key only, decode deferred -----------------
 
     def _score_kernel(self, cand: _IdCandidates) -> List[list]:
         """Queue records for every survivor, decode-free.
 
-        The kernel twin of :meth:`_materialize`: misses compute only what
-        ordering and scoring need — the canonical SE sort key (from the
-        memoized atom keys) and the scoring plan, batch-scored against
-        the scorer's precompiled code-length tables.  No
+        Misses compute only what ordering and scoring need — the
+        canonical SE sort key (from the memoized atom keys) and the
+        scoring plan, scored against the scorer's precompiled
+        code-length tables.  No
         ``SubgraphExpression`` is constructed here; records carry
         ``(shape, ID key)`` and :meth:`_decode_entry` materializes the SE
         the first time a consumer touches the entry
@@ -1132,9 +870,10 @@ class CandidateEngine:
                 hop_key = (root_atoms.get(p0) or self._root_atom(p0))[1]
                 k1 = (star_atoms.get(a1) or self._star_atom(*a1))[1]
                 k2 = (star_atoms.get(a2) or self._star_atom(*a2))[1]
-                # Canonical star order on the cached atom keys; the plan
-                # follows it so the float summation stays bit-identical
-                # to the estimator's (same reasoning as _materialize).
+                # Canonical star order (what path_star() would sort
+                # into), decided on the cached atom keys.  Ĉ sums the
+                # stars in this order, so the plan follows it — that keeps
+                # the float summation bit-identical to the estimator's.
                 if k2 < k1:
                     k1, k2 = k2, k1
                     plan = (PLAN_STAR, p0) + a2 + a1
@@ -1269,7 +1008,7 @@ class CandidateEngine:
                 if full and rec[0] > kth_bits:
                     spill.append(rec)
                     continue
-                insort(frontier, rec, key=_kernel_entry_key)
+                insort(frontier, rec, key=_entry_key)
                 if full:
                     spill.append(frontier.pop())
                 else:
@@ -1291,19 +1030,20 @@ class CandidateEngine:
                     rec = self._kernel_record(shape_index, key, score_cold)
                     memo[key] = rec
                 tail.append(rec)
-            tail.sort(key=_kernel_entry_key)
+            tail.sort(key=_entry_key)
             return tail
 
         return frontier, extend_tail
 
     def _decode_entry(self, rec: list) -> SubgraphExpression:
-        """Materialize a kernel queue record's SE (the response boundary).
+        """Materialize a queue record's SE (the response boundary).
 
         Rebuilt from the memoized atoms — in canonical order, decided on
-        the cached atom sort keys, identical to what the eager path's
-        constructors produce — and written back into the record, which
-        lives in the cross-request memo: one decode per distinct
-        candidate per engine, no matter how many queues it appears in.
+        the cached atom sort keys, identical to what the
+        ``SubgraphExpression`` constructors produce — and written back
+        into the record, which lives in the cross-request memo: one
+        decode per distinct candidate per engine, no matter how many
+        queues it appears in.
         """
         shape_index, key = rec[3], rec[4]
         if shape_index == 0:
@@ -1329,12 +1069,5 @@ class CandidateEngine:
         return se
 
     def __repr__(self) -> str:
-        if not self.id_space:
-            path = "term-space"
-        elif self.kernel:
-            path = "id-kernel"
-        elif self.kernel_intersect:
-            path = "id-kernel-intersect"  # mask intersection, eager scoring
-        else:
-            path = "id-set"
+        path = "id-kernel" if self.id_space else "term-space"
         return f"CandidateEngine(path={path}, kb={self.kb.name!r})"

@@ -14,19 +14,20 @@ departures from the sequential logic, exactly as §3.4 prescribes:
    while the current conjunction is no cheaper than ``e``
    (P-DFS-REMI lines 6-7).
 
-Queue *construction* is also parallelized (§3.5.2: "we parallelized the
-construction and sorting of the queue"): P-REMI configures the shared
-:class:`~repro.core.candidates.CandidateEngine` with
-``score_threads=num_threads``, which fans Ĉ scoring out over a thread
-pool on the Term-space path.  (On the ID-space path of dictionary-encoded
-backends the batch scorer makes the fan-out moot — scoring is int-dict
-table lookups.)
+Queue *construction* is not parallelized, although §3.5.2 says "we
+parallelized the construction and sorting of the queue": P-REMI builds
+its queue with the same :class:`~repro.core.candidates.CandidateEngine`
+as REMI.  Under the GIL a thread fan-out of Ĉ scoring cannot run in
+parallel, and on the ID-space path scoring is already int-dict table
+lookups, so there is no queue-scoring fan-out.
 
 A note on expectations: CPython's GIL serializes pure-Python bytecode, so
-wall-clock speed-ups here come from work-sharing (early shared bounds and
-stop signals), not from hardware parallelism.  The paper itself observes
-speed-ups from 0.003× to 197× depending on search-space size; our
-EXPERIMENTS.md reports the same qualitative spread.
+wall-clock speed-ups here can only come from work-sharing (early shared
+bounds and stop signals), not from hardware parallelism.  The paper
+itself observes speed-ups from 0.003× to 197× depending on search-space
+size.  Ours are below 1: the committed Table 4 records
+(``benchmarks/results/table4_*.txt``) have put P-REMI at 0.31–0.82× the
+speed of REMI.
 """
 
 from __future__ import annotations
@@ -97,14 +98,10 @@ class _ParallelSearch(_Search):
 class PREMI(REMI):
     """The multi-threaded miner.  Same interface as :class:`REMI`.
 
-    Queue construction is the same :class:`~repro.core.candidates.CandidateEngine`
-    as REMI's — P-REMI merely turns on its Term-space Ĉ-scoring fan-out
-    (``score_threads``), so the two miners can never build different
-    queues.
+    Queue construction is REMI's own :class:`~repro.core.candidates.CandidateEngine`,
+    so the two miners can never build different queues; only the search
+    runs on ``config.num_threads`` threads.
     """
-
-    def _score_threads(self) -> int:
-        return self.config.num_threads
 
     def mine(
         self,

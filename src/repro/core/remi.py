@@ -93,12 +93,7 @@ class REMI:
             matcher=self.matcher,
             estimator=self.estimator,
             prominent=lambda: self.prominent_entities,
-            score_threads=self._score_threads(),
         )
-
-    def _score_threads(self) -> int:
-        """Ĉ-scoring fan-out width; P-REMI overrides (§3.5.2)."""
-        return 1
 
     def _drop_prominent(self) -> None:
         self._prominent = None

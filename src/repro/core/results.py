@@ -158,18 +158,6 @@ class SearchStats:
         self.search_seconds += other.search_seconds
         self.total_seconds += other.total_seconds
 
-    def merge(self, other: "SearchStats") -> None:
-        """Deprecated alias for ``accumulate(other, queue_phases=False)``."""
-        import warnings
-
-        warnings.warn(
-            "SearchStats.merge() is deprecated; use "
-            "accumulate(other, queue_phases=False)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.accumulate(other, queue_phases=False)
-
 
 @dataclass
 class MiningResult:

@@ -34,8 +34,6 @@ class _Missing:
 #: matcher's cache probes use it end-to-end.
 MISSING = _Missing()
 
-_MISSING = MISSING  # backward-compatible module-private alias
-
 
 class LRUCache(Generic[K, V]):
     """A bounded, thread-safe LRU mapping.

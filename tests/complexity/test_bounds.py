@@ -9,11 +9,13 @@ bound must be ≤ the true Ĉ of every member the full-queue path scores.
 An inadmissible bound would silently drop queue entries and break the
 first-k-prefix contract of ``tests/core/test_topk.py``.
 
-We pin the property on ~50 seeded random KBs × both backends: the full
-queue provides the ground-truth (SE, Ĉ) pairs — on the hash backend via
-its own Term-space engine (Ĉ values are bit-identical across backends,
-pinned by ``test_candidate_engine.py``) — while an interned twin of the
-same triples computes every family bound.  Runs under its own marker
+We pin the property on ~50 seeded random KBs × both backends × both
+estimator modes (exact ranks, and the §3.5.3 power-law codes the scorer
+compiles into its object tables): the full queue provides the
+ground-truth (SE, Ĉ) pairs — on the hash backend via its own Term-space
+engine (Ĉ values are bit-identical across backends, pinned by
+``test_candidate_engine.py``) — while an interned twin of the same
+triples computes every family bound.  Runs under its own marker
 (``-m bounds``) like the mutation/concurrency suites.
 """
 
@@ -34,8 +36,13 @@ from repro.kb.triples import Triple
 
 pytestmark = pytest.mark.bounds
 
-BACKENDS = [KnowledgeBase, InternedKnowledgeBase]
-BACKEND_IDS = ["hash", "interned"]
+#: (backend, estimator mode); exact-mode cases carry the bare backend id.
+CASES = [
+    pytest.param(KnowledgeBase, "exact", id="hash"),
+    pytest.param(InternedKnowledgeBase, "exact", id="interned"),
+    pytest.param(KnowledgeBase, "powerlaw", id="hash-powerlaw"),
+    pytest.param(InternedKnowledgeBase, "powerlaw", id="interned-powerlaw"),
+]
 
 N_KBS = 50
 
@@ -68,16 +75,16 @@ def _target_sets(rng: random.Random, kb):
     return sets
 
 
-def _engine(kb, config=FULL_CONFIG) -> CandidateEngine:
+def _engine(kb, mode="exact") -> CandidateEngine:
     return CandidateEngine(
         kb,
-        config=config,
-        estimator=ComplexityEstimator(kb, FrequencyProminence(kb)),
+        config=FULL_CONFIG,
+        estimator=ComplexityEstimator(kb, FrequencyProminence(kb), mode=mode),
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
-def test_family_bounds_admissible(backend):
+@pytest.mark.parametrize("backend,mode", CASES)
+def test_family_bounds_admissible(backend, mode):
     """bound(family) ≤ Ĉ(member) for every member of every full queue."""
     checked_members = 0
     families_seen = set()
@@ -86,11 +93,11 @@ def test_family_bounds_admissible(backend):
         triples = _random_triples(rng)
         kb = backend(triples)
         twin = kb if isinstance(kb, InternedKnowledgeBase) else InternedKnowledgeBase(triples)
-        twin_engine = _engine(twin)
-        assert twin_engine.kernel, "interned twin must take the kernel path"
+        twin_engine = _engine(twin, mode)
+        assert twin_engine.id_space, "interned twin must take the kernel path"
         bound_of = twin_engine.scorer.family_scorer()
         rank = FrequencyProminence(twin).predicate_rank
-        queue_engine = twin_engine if twin is kb else _engine(kb)
+        queue_engine = twin_engine if twin is kb else _engine(kb, mode)
         for targets in _target_sets(rng, kb):
             for se, bits in queue_engine.candidates(list(targets)):
                 family = candidate_family(twin, se, rank)
@@ -121,6 +128,6 @@ def test_family_scorer_requires_kernel():
     """The reference (non-kernel) scorer has no family bounds to offer."""
     kb = KnowledgeBase([Triple(EX["a"], EX["p"], EX["b"])])
     engine = _engine(kb)
-    assert not engine.kernel
+    assert not engine.id_space
     with pytest.raises(RuntimeError):
         engine.scorer.family_scorer()

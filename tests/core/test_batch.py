@@ -138,7 +138,7 @@ class TestBatchMiner:
     def test_parallel_flag_uses_premi(self, kb):
         from repro.core.parallel import PREMI
 
-        miner = BatchMiner(kb, parallel=True)
+        miner = BatchMiner(kb, miner="premi")
         assert isinstance(miner.miner, PREMI)
         outcome = miner.mine_many([[EX.Rennes, EX.Nantes]])[0]
         assert outcome.found

@@ -8,7 +8,9 @@ Term-space functions in :mod:`repro.core.enumerate` plus per-SE
 the reference semantics, so (matching ``test_matcher_oracle.py`` style)
 we pin the engine to them on ~50 seeded random KBs × both backends ×
 1-, 2- and 3-target sets: exactly the same candidate sets and
-bit-identical Ĉ values.
+bit-identical Ĉ values — for the exact estimator, the power-law
+estimator (compiled into the same code-length tables) and custom
+prominence models.
 """
 
 import random
@@ -68,51 +70,73 @@ def _target_sets(rng: random.Random, kb):
     return sets
 
 
-def _reference_queue(kb, targets, config, prominent):
+def _prominent(kb, config):
+    """The §3.5.2 cutoff set, supplied explicitly like the miner does."""
+    if config.prominent_object_cutoff is None:
+        return frozenset()
+    return FrequencyProminence(kb).top_entities(config.prominent_object_cutoff)
+
+
+def _reference_queue(kb, targets, config, prominent, estimator):
     """Seed semantics: enumerate/intersect via the Term-space functions,
-    score per-SE with a fresh estimator, sort like Alg. 1 line 2."""
+    score per-SE with the engine-independent *estimator*, sort like
+    Alg. 1 line 2."""
     common = common_subgraph_expressions(kb, targets, config, Matcher(kb), prominent)
-    estimator = ComplexityEstimator(kb, FrequencyProminence(kb))
     scored = [(se, estimator.complexity(se)) for se in common]
     scored.sort(key=lambda pair: (pair[1], pair[0].sort_key()))
     return scored
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
+def _assert_same_queue(actual, expected, context):
+    """Same candidates in the same order, Ĉ bit-identical."""
+    assert [se for se, _ in actual] == [se for se, _ in expected], (
+        f"{context}: candidate queues diverge"
+    )
+    for (se_a, c_a), (_, c_e) in zip(actual, expected):
+        assert c_a == c_e, f"{context} se={se_a!r}: Ĉ diverges ({c_a!r} != {c_e!r})"
+
+
+#: (backend, estimator mode); exact-mode cases carry the bare backend id.
+#: Power-law object codes compile into the ID path's code-length tables,
+#: so the power-law differential runs on the interned backend.
+SEED_SEMANTICS_CASES = [
+    pytest.param(KnowledgeBase, "exact", id="hash"),
+    pytest.param(InternedKnowledgeBase, "exact", id="interned"),
+    pytest.param(InternedKnowledgeBase, "powerlaw", id="interned-powerlaw"),
+]
+
+
+@pytest.mark.parametrize("backend,mode", SEED_SEMANTICS_CASES)
 @pytest.mark.parametrize("config", [FULL_CONFIG, PRUNED_CONFIG], ids=["full", "pruned"])
-def test_engine_queue_matches_seed_semantics(backend, config):
+def test_engine_queue_matches_seed_semantics(backend, mode, config):
     """Candidate sets AND Ĉ values bit-identical to the seed pipeline."""
     checked_queues = 0
     checked_candidates = 0
+    fitted = 0
     for seed in range(N_KBS):
         rng = random.Random(seed)
         kb = _random_kb(rng, backend)
-        prominent = (
-            FrequencyProminence(kb).top_entities(config.prominent_object_cutoff)
-            if config.prominent_object_cutoff is not None
-            else frozenset()
-        )
+        prominent = _prominent(kb, config)
         engine = CandidateEngine(
             kb,
             config=config,
-            estimator=ComplexityEstimator(kb, FrequencyProminence(kb)),
+            estimator=ComplexityEstimator(kb, FrequencyProminence(kb), mode=mode),
             prominent=prominent,
         )
+        reference = ComplexityEstimator(kb, FrequencyProminence(kb), mode=mode)
         for targets in _target_sets(rng, kb):
-            expected = _reference_queue(kb, targets, config, prominent)
+            expected = _reference_queue(kb, targets, config, prominent, reference)
             actual = engine.candidates(list(targets))
-            assert [se for se, _ in actual] == [se for se, _ in expected], (
-                f"seed={seed} targets={targets!r}: candidate queues diverge"
-            )
-            for (se_a, c_a), (_, c_e) in zip(actual, expected):
-                assert c_a == c_e, (
-                    f"seed={seed} targets={targets!r} se={se_a!r}: "
-                    f"Ĉ diverges ({c_a!r} != {c_e!r})"
-                )
+            _assert_same_queue(actual, expected, f"seed={seed} targets={targets!r}")
             checked_queues += 1
             checked_candidates += len(actual)
+        fitted += sum(
+            engine.estimator.powerlaw_fit(p) is not None for p in kb.predicates()
+        )
     assert checked_queues >= 100
     assert checked_candidates > 500
+    # Power-law mode exercised Eq. 1 fits, not only the exact-rank fallback.
+    assert (fitted > N_KBS) == (mode == "powerlaw")
 
 
 @pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
@@ -129,21 +153,6 @@ def test_engine_common_matches_seed_single_target(backend):
         for entity in sorted(kb.entities(), key=lambda t: t.sort_key())[:3]:
             expected = subgraph_expressions(kb, entity, FULL_CONFIG)
             assert engine.common([entity]) == expected
-
-
-def test_engine_paths_agree_forced_term_space():
-    """use_id_space=False on an interned backend reproduces the ID queue
-    (the benchmark relies on this switch for its baseline)."""
-    rng = random.Random(7)
-    kb = _random_kb(rng, InternedKnowledgeBase)
-    estimator = ComplexityEstimator(kb, FrequencyProminence(kb))
-    id_engine = CandidateEngine(kb, config=FULL_CONFIG, estimator=estimator)
-    term_engine = CandidateEngine(
-        kb, config=FULL_CONFIG, estimator=estimator, use_id_space=False
-    )
-    assert id_engine.id_space and not term_engine.id_space
-    for targets in _target_sets(rng, kb):
-        assert id_engine.candidates(targets) == term_engine.candidates(targets)
 
 
 @pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
@@ -210,11 +219,13 @@ def test_engine_unknown_target_yields_empty_queue():
 def test_kernel_equals_set_path_with_custom_prominence():
     """Custom prominence models (overriding predicate/entity scoring)
     must force the decode-free rank builders onto the per-term fallback:
-    kernel and set queues stay bit-identical even when scores are NOT the
-    backend's fact counts."""
+    the kernel queue stays bit-identical to the Term-space reference
+    (``common_subgraph_expressions`` + per-SE Ĉ under the same model)
+    even when scores are NOT the backend's fact counts."""
     from repro.extensions.exogenous import ExogenousProminence
 
     rng = random.Random(99)
+    checked = 0
     for seed in range(10):
         rng.seed(seed)
         kb = _random_kb(rng, InternedKnowledgeBase)
@@ -228,14 +239,13 @@ def test_kernel_equals_set_path_with_custom_prominence():
             entity_scores={e: float(i + 1) for i, e in enumerate(entities)},
             predicate_scores={p: float(len(predicates) - i) for i, p in enumerate(predicates)},
         )
-        estimator = ComplexityEstimator(kb, prominence)
-        target_sets = _target_sets(rng, kb)
-        queues = {}
-        for use_kernel in (False, True):
-            engine = CandidateEngine(
-                kb, config=FULL_CONFIG, estimator=estimator, use_kernel=use_kernel
-            )
-            queues[use_kernel] = [
-                list(engine.candidates(targets)) for targets in target_sets
-            ]
-        assert queues[False] == queues[True]
+        engine = CandidateEngine(
+            kb, config=FULL_CONFIG, estimator=ComplexityEstimator(kb, prominence)
+        )
+        reference = ComplexityEstimator(kb, prominence)
+        for targets in _target_sets(rng, kb):
+            expected = _reference_queue(kb, targets, FULL_CONFIG, frozenset(), reference)
+            actual = engine.candidates(list(targets))
+            _assert_same_queue(actual, expected, f"seed={seed} targets={targets!r}")
+            checked += len(actual)
+    assert checked > 50

@@ -86,8 +86,7 @@ class TestSearchStats:
     def test_merge_accumulates(self):
         a = SearchStats(nodes_visited=3, re_tests=5, peak_stack_depth=2)
         b = SearchStats(nodes_visited=4, re_tests=1, timed_out=True, peak_stack_depth=5)
-        with pytest.warns(DeprecationWarning, match="accumulate"):
-            a.merge(b)
+        a.accumulate(b, queue_phases=False)
         assert a.nodes_visited == 7
         assert a.re_tests == 6
         assert a.timed_out

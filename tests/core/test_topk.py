@@ -4,7 +4,9 @@ The contract of the bounded best-first build (``MinerConfig.top_k``):
 
 * the frontier a bounded build returns is **exactly** the first-k
   entries of the full sorted queue — same SEs, same Ĉ bits, same tie
-  order — across backends, engine flavours and all five shapes;
+  order — across both engine paths (the branch-and-bound mask kernel
+  on interned KBs, the Term-space oracle's exact split on hash KBs) and
+  all five shapes;
 * inflating the deferred remainder (:meth:`CandidateQueue.extend_frontier`)
   reproduces the full queue, so mining results are identical whether the
   queue was bounded or not (the search streams extensions on demand);
@@ -47,15 +49,6 @@ FULL_CONFIG = MinerConfig(
 )
 PRUNED_CONFIG = MinerConfig(prominent_object_cutoff=0.2)
 
-#: Engine flavours whose bounded builds must all honour the contract:
-#: the branch-and-bound kernel path, the per-element ID-space path and
-#: the Term-space reference (``None`` auto-selects per backend).
-FLAVOURS = {
-    "auto": {},
-    "no-kernel": {"use_kernel": False},
-    "term-space": {"use_id_space": False},
-}
-
 
 def _random_kb(rng: random.Random, backend):
     entities = [EX[f"e{i}"] for i in range(rng.randint(4, 9))]
@@ -92,12 +85,11 @@ def _shape_zoo_kb(backend):
     return backend(triples)
 
 
-def _engine(kb, config, **flavour) -> CandidateEngine:
+def _engine(kb, config) -> CandidateEngine:
     return CandidateEngine(
         kb,
         config=config,
         estimator=ComplexityEstimator(kb, FrequencyProminence(kb)),
-        **flavour,
     )
 
 
@@ -112,10 +104,9 @@ def _pairs(queue):
 
 @pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
 @pytest.mark.parametrize("config", [FULL_CONFIG, PRUNED_CONFIG], ids=["full", "pruned"])
-@pytest.mark.parametrize("flavour", sorted(FLAVOURS), ids=sorted(FLAVOURS))
+@pytest.mark.parametrize("flavour", ["auto"])  # the path the backend selects
 def test_bounded_queue_is_sorted_prefix(backend, config, flavour):
     """bounded(k) == full[:k] (ties included), and inflating restores full."""
-    kwargs = FLAVOURS[flavour]
     shapes_seen = set()
     checked = 0
     cases = [( _shape_zoo_kb(backend), [[EX["a"], EX["b"]]])]
@@ -124,13 +115,13 @@ def test_bounded_queue_is_sorted_prefix(backend, config, flavour):
         kb = _random_kb(rng, backend)
         cases.append((kb, _target_sets(rng, kb)))
     for seed, (kb, target_sets) in enumerate(cases, start=-1):
-        full_engine = _engine(kb, config, **kwargs)
+        full_engine = _engine(kb, config)
         for targets in target_sets:
             full = _pairs(full_engine.candidates(list(targets), top_k=None))
             shapes_seen.update(se.shape for se, _ in full)
             for k in (1, 4, 16):
                 stats = SearchStats()
-                bounded_engine = _engine(kb, config, **kwargs)
+                bounded_engine = _engine(kb, config)
                 queue = bounded_engine.candidates(list(targets), stats, top_k=k)
                 assert len(queue) == min(k, len(full)), (
                     f"seed={seed} k={k}: frontier size {len(queue)}"

@@ -34,6 +34,11 @@ class TestStats:
         assert main(["stats", str(kb_file)]) == 0
         out = capsys.readouterr().out
         assert "facts" in out and "predicates" in out
+        assert "interned_terms" in out  # the default backend is interned
+        # Values line up in one column, however long the longest key.
+        lines = out.splitlines()
+        value_columns = {len(line) - len(line.split(None, 1)[1]) for line in lines}
+        assert len(value_columns) == 1, lines
 
 
 class TestMine:
@@ -55,7 +60,7 @@ class TestMine:
         args = [
             "mine", str(kb_file),
             "http://wikidata.example.org/entity/City_1",
-            "--standard", "--parallel", "--timeout", "30",
+            "--standard", "--miner", "premi", "--timeout", "30",
         ]
         assert main(args) in (0, 1)
 
@@ -97,9 +102,9 @@ class TestMine:
 
     def test_interned_backend_same_output(self, kb_file, capsys):
         entity = "http://wikidata.example.org/entity/City_0"
-        code_hash = main(["mine", str(kb_file), entity])
+        code_hash = main(["mine", str(kb_file), entity, "--backend", "hash"])
         out_hash = capsys.readouterr().out
-        code_interned = main(["mine", str(kb_file), entity, "--backend", "interned"])
+        code_interned = main(["mine", str(kb_file), entity])  # interned default
         out_interned = capsys.readouterr().out
         assert code_hash == code_interned
         # expression/complexity/verbalization lines agree; timings differ

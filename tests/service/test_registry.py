@@ -1,5 +1,5 @@
 """Registry behavior: unknown keys list the menu, late registration
-works, and the pre-service deprecation shims still behave identically."""
+works, and the pre-service import path still resolves to the registry."""
 
 import pytest
 
@@ -95,37 +95,11 @@ class TestLateRegistration:
 
 
 class TestDeprecationShims:
-    """The pre-service spellings still work and agree with the registry."""
+    """The pre-service import path still works and agrees with the registry."""
 
     def test_core_remi_import_path_unchanged(self):
         assert CoreREMI is REMI
         assert MINERS.get("remi") is CoreREMI
-
-    def test_batchminer_parallel_kwarg_still_selects_premi(self, rennes_kb):
-        miner = BatchMiner(rennes_kb, parallel=True)
-        assert isinstance(miner.miner, PREMI)
-        assert miner.miner_name == "premi"
-
-    def test_parallel_kwarg_conflicting_with_miner_rejected(self, rennes_kb):
-        with pytest.raises(ValueError):
-            BatchMiner(rennes_kb, parallel=True, miner="remi")
-
-    def test_shim_and_registry_miners_answer_identically(self, rennes_kb):
-        """The PR 1/2 differential property, spot-checked through the
-        shim: BatchMiner(parallel=True) ≡ BatchMiner(miner='premi')."""
-        targets = [[EX.Rennes, EX.Nantes], [EX.Lyon]]
-        shim = BatchMiner(rennes_kb, parallel=True).mine_many(targets)
-        keyed = BatchMiner(rennes_kb, miner="premi").mine_many(targets)
-        for a, b in zip(shim, keyed):
-            assert (a.result.expression is None) == (b.result.expression is None)
-            assert repr(a.result.expression) == repr(b.result.expression)
-            assert a.result.complexity == b.result.complexity
-
-    def test_cli_backends_shim_is_the_registry(self):
-        from repro import cli
-
-        assert cli.BACKENDS is KB_BACKENDS
-        assert cli._load_kb.__doc__  # kept as a documented alias
 
 
 class TestBaselineMiners:
