@@ -10,7 +10,7 @@ one falls more than the tolerance below the committed value.
 Usage::
 
     python benchmarks/check_regression.py BENCH_pipeline.json
-    python benchmarks/check_regression.py BENCH_serve.json --tolerance 0.4
+    python benchmarks/check_regression.py BENCH_interned.json --tolerance 0.4
     python benchmarks/check_regression.py BENCH_*.json        # any mix
 
 Each payload's ``benchmark`` field selects the guarded keys (see
@@ -23,13 +23,11 @@ A few keys additionally carry an **absolute floor** (see :data:`FLOORS`):
 a ratchet the fresh value must clear regardless of what any baseline
 says, so a quietly-regressed baseline can never lower the bar.
 
-Concurrency-scaling ratios are only meaningful on hosts with cores to
-scale onto: the serve bench records ``cpu_count`` and ``workers`` in its
-payload, and on starved runners (fewer than 4 cores, or a run without
-enough worker replicas for the multi-process floor) the scaling checks
-downgrade to **advisory** — printed with a WARN verdict, never failing
-the run.  A single-core CI box reporting 0.2× "scaling" is telling you
-about the box, not the code.
+Timing ratios divided out of two phases are only meaningful on hosts
+with cores to spare: the benches record ``cpu_count`` in their payload,
+and on starved runners (fewer than 4 cores) the keys listed in
+:data:`STARVED_ADVISORY_KEYS` downgrade to **advisory** — printed with a
+WARN verdict, never failing the run.
 """
 
 from __future__ import annotations
@@ -57,11 +55,6 @@ GUARDS = {
     },
     "live-updates-steady-state": {
         "throughput_retained_at_heaviest_mix": None,
-    },
-    # Wall-clock concurrency scaling is the noisiest ratio we track; the
-    # default tolerance would flap on shared runners.
-    "serve-concurrent-clients": {
-        "speedup_16_over_1": 0.5,
     },
     # Cold-start divides a sub-millisecond mmap open into a parse time,
     # so the ratio swings hugely with disk cache state — the baseline is
@@ -94,13 +87,6 @@ FLOORS = {
     "candidate-pipeline-phase-split": {
         "overall_bounded_sort_score_speedup": 2.0,
     },
-    # The multi-process scale-out ratchet: with ≥4 worker replicas on a
-    # host with cores for them, 16 concurrent clients must run at least
-    # twice the single-client rate.  Advisory everywhere else — see
-    # :func:`scaling_advisory_reason`.
-    "serve-concurrent-clients": {
-        "speedup_16_over_1": 2.0,
-    },
     # The persistent-image ratchets.  Cold start from the image must beat
     # re-parsing the large tier ≥5× (the measured margin is ~3 orders of
     # magnitude, so 5.0 only trips on a real O(file)-work regression in
@@ -114,20 +100,12 @@ FLOORS = {
     },
 }
 
-#: Benchmarks whose guarded/floored keys measure concurrency scaling and
-#: therefore go advisory on starved hosts.
-SCALING_BENCHMARKS = {"serve-concurrent-clients"}
-
-#: Cores below which scaling ratios say nothing about the code.
-MIN_SCALING_CORES = 4
-
-#: Worker replicas below which the multi-process absolute floor is moot.
-MIN_SCALING_WORKERS = 4
+#: Cores below which the advisory timing ratios say nothing about the code.
+MIN_TIMING_CORES = 4
 
 #: benchmark name -> keys whose checks go advisory on core-starved
-#: runners, without dragging the benchmark's OTHER guarded keys along
-#: the way :data:`SCALING_BENCHMARKS` membership would.  The bounded
-#: top-k ratio is a single-threaded measurement, but on an
+#: runners; the benchmark's other guarded keys keep binding.  The
+#: bounded top-k ratio is a single-threaded measurement, but on an
 #: oversubscribed shared box the two timed phases it divides are pure
 #: scheduler noise.
 STARVED_ADVISORY_KEYS = {
@@ -140,39 +118,15 @@ STARVED_ADVISORY_KEYS = {
 }
 
 
-def key_advisory_reason(fresh: dict, key: str, *, floor_check: bool) -> str | None:
-    """Why the check on *key* should warn instead of fail, or ``None``.
-
-    Benchmark-level scaling advisories (:func:`scaling_advisory_reason`)
-    apply to every guarded key; the per-key table adds core-starvation
-    advisories for individual ratios without the worker-replica
-    condition (that one stays serve-only).
-    """
-    if key in STARVED_ADVISORY_KEYS.get(fresh.get("benchmark"), ()):
-        cpus = fresh.get("cpu_count")
-        if cpus is None:
-            return "payload lacks cpu_count (older bench build)"
-        if cpus < MIN_SCALING_CORES:
-            return f"runner has {cpus} core(s), timings need ≥ {MIN_SCALING_CORES}"
-        return None
-    return scaling_advisory_reason(fresh, floor_check=floor_check)
-
-
-def scaling_advisory_reason(fresh: dict, *, floor_check: bool) -> str | None:
-    """Why a scaling check on *fresh* should warn instead of fail —
-    or ``None`` when the host can genuinely scale and the check binds."""
-    if fresh.get("benchmark") not in SCALING_BENCHMARKS:
+def key_advisory_reason(fresh: dict, key: str) -> str | None:
+    """Why the check on *key* should warn instead of fail, or ``None``."""
+    if key not in STARVED_ADVISORY_KEYS.get(fresh.get("benchmark"), ()):
         return None
     cpus = fresh.get("cpu_count")
     if cpus is None:
         return "payload lacks cpu_count (older bench build)"
-    if cpus < MIN_SCALING_CORES:
-        return f"runner has {cpus} core(s), scaling needs ≥ {MIN_SCALING_CORES}"
-    if floor_check and fresh.get("workers", 0) < MIN_SCALING_WORKERS:
-        return (
-            f"run used {fresh.get('workers', 0)} worker replica(s), "
-            f"floor assumes ≥ {MIN_SCALING_WORKERS}"
-        )
+    if cpus < MIN_TIMING_CORES:
+        return f"runner has {cpus} core(s), timings need ≥ {MIN_TIMING_CORES}"
     return None
 
 
@@ -183,7 +137,7 @@ def check_floors(fresh_path: Path, fresh: dict) -> int:
         return 0
     failures = 0
     for key, floor in floors.items():
-        advisory = key_advisory_reason(fresh, key, floor_check=True)
+        advisory = key_advisory_reason(fresh, key)
         fresh_value = fresh.get(key)
         if fresh_value is None:
             if advisory:
@@ -221,7 +175,7 @@ def check_file(fresh_path: Path, baseline_dir: Path, tolerance: float) -> int:
         return failures
     baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
     for key, override in guards.items():
-        advisory = key_advisory_reason(fresh, key, floor_check=False)
+        advisory = key_advisory_reason(fresh, key)
         allowed_drop = tolerance if override is None else override
         base_value = baseline.get(key)
         if base_value is None:

@@ -2,9 +2,10 @@
 
 Demonstrates the NDJSON-over-TCP envelope protocol end to end: several
 query clients mine referring expressions while an update client
-interleaves ``add``/``delete`` mutations — the server's update barrier
-keeps every answer coherent (and its telemetry proves it: the final
-stats response must report zero cache-coherence violations).
+interleaves ``add``/``delete`` mutations — MVCC snapshot reads and the
+server's update lock keep every answer coherent (and its telemetry
+proves it: the final stats response must report zero cache-coherence
+violations).
 
 Start a server, then run this client::
 

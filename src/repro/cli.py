@@ -29,10 +29,12 @@ single-process reference behaviour.  Input KBs may be
 RHDT binaries (``.hdt``), persistent KB images (``remi build-image``
 output, sniffed by magic and mmap-opened zero-copy — the fast cold-start
 path, and with ``--workers N`` the page cache is shared across the whole
-fleet) or N-Triples text (anything else); ``--backend`` picks the
-storage backend, ``interned`` (dictionary-encoded integer IDs, the
-faster choice for mining workloads) by default on every subcommand —
-answers are identical on ``hash``, only timings differ.
+fleet) or N-Triples text (anything else).  ``--backend`` picks the
+storage backend of ``stats``, ``mine`` and ``batch``: ``interned``
+(dictionary-encoded integer IDs, the faster choice for mining workloads)
+by default — answers are identical on ``hash``, only timings differ.
+``serve`` always loads the interned store, because it reads from MVCC
+epoch snapshots.
 """
 
 from __future__ import annotations
@@ -231,6 +233,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     config = _service_config(args)
     service = MiningService.from_path(args.kb, config)
+    # Snapshots first, so --warm-up builds the session that serves reads.
+    service.enable_snapshots()
     if args.warm_up:
         service.warm_up()
 
@@ -238,13 +242,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.replicas:
         from repro.service.workers import WorkerPool
 
-        if not getattr(service.kb, "supports_id_queries", False):
-            print(
-                "remi serve: --workers needs the interned backend "
-                "(replicas ship as dictionary-encoded wire images)",
-                file=sys.stderr,
-            )
-            return 2
         pool = WorkerPool(
             service.kb, config=config, count=args.replicas, warm_up=args.warm_up
         )
@@ -294,7 +291,6 @@ def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
 
 def _add_miner_flags(parser: argparse.ArgumentParser) -> None:
     """The flags every mining subcommand shares (one spelling, one place)."""
-    _add_backend_flag(parser)
     parser.add_argument(
         "--miner",
         choices=sorted(MINERS.names()),
@@ -376,6 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     mine = subparsers.add_parser("mine", help="mine a referring expression")
     mine.add_argument("kb", help="KB file (.hdt or N-Triples)")
     mine.add_argument("entities", nargs="+", help="target entity IRIs")
+    _add_backend_flag(mine)
     _add_miner_flags(mine)
     mine.add_argument(
         "--json",
@@ -394,6 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
         "requests",
         help="JSON-lines requests/updates file, or - for stdin",
     )
+    _add_backend_flag(batch)
     _add_miner_flags(batch)
     batch.add_argument(
         "--workers",
@@ -473,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="base of the exponential backoff between respawn attempts "
         "on the same replica slot",
     )
-    serve.set_defaults(func=_cmd_serve, workers=1)
+    serve.set_defaults(func=_cmd_serve, workers=1, backend="interned")
     return parser
 
 

@@ -79,9 +79,9 @@ class BaseKnowledgeBase(abc.ABC):
     supports_id_queries: bool = False
 
     #: True when the backend can produce immutable epoch views via
-    #: :meth:`at_epoch` — the MVCC read path of the serving layer.  The
-    #: hash backend stays False (it serves under the update barrier, the
-    #: differential reference for snapshot reads).
+    #: :meth:`at_epoch` — the MVCC read path ``remi serve`` requires.
+    #: The hash backend stays False; it is the in-process differential
+    #: reference, never served.
     supports_snapshots: bool = False
 
     #: The mutation epoch: bumped by every effective ``add``/``discard``
@@ -193,13 +193,13 @@ class BaseKnowledgeBase(abc.ABC):
         frozen, structurally-shared epoch view that stays valid — and
         bit-identical — while the live store keeps mutating; see
         :mod:`repro.kb.snapshot`.  Must be called from the writer side
-        (or otherwise quiescent) — the serving layer's update barrier
+        (or otherwise quiescent) — the serving layer's update lock
         guarantees that.  Backends without snapshot support raise
-        ``TypeError``; their callers keep the barrier/copy path.
+        ``TypeError``; pin a :meth:`copy` instead.
         """
         raise TypeError(
             f"{type(self).__name__} does not support epoch snapshots; "
-            "serve it under the update barrier instead"
+            "pin a copy() instead"
         )
 
     def snapshot(self) -> "BaseKnowledgeBase":

@@ -29,8 +29,8 @@ from repro.kb.image.format import ImageError, KbImage, _TripleArray
 from repro.kb.interned import InternedKnowledgeBase
 from repro.kb.interner import TermInterner
 from repro.kb.ntriples import parse_term
+from repro.kb.snapshot import FrozenEpoch
 from repro.kb.terms import Term
-from repro.kb.triples import Triple
 
 __all__ = ["ImageKnowledgeBase", "ImageSnapshot", "ImageTermTable"]
 
@@ -436,20 +436,15 @@ class ImageKnowledgeBase(InternedKnowledgeBase):
         )
 
 
-class ImageSnapshot(ImageKnowledgeBase):
+class ImageSnapshot(FrozenEpoch, ImageKnowledgeBase):
     """A read-only epoch view of an :class:`ImageKnowledgeBase`.
 
-    The image analogue of :class:`~repro.kb.snapshot.KbSnapshot`: same
-    frozen-epoch contract (mutators raise, ``at_epoch`` returns self,
-    term lookups clamp at the capture-time high-water mark), built by
+    The image analogue of :class:`~repro.kb.snapshot.KbSnapshot`, with
+    the same :class:`~repro.kb.snapshot.FrozenEpoch` contract, built by
     copying only the mutation delta — the four lazy views share the
     mmap'd arrays with the live store and refault clean rows on demand,
     so capturing a snapshot of an unmutated million-fact image is O(1).
     """
-
-    #: Interner high-water mark: IDs at or past this were interned after
-    #: the capture and do not exist in this view.
-    _hwm: int
 
     def __init__(self, *args, **kwargs):  # pragma: no cover - guard rail
         raise TypeError("ImageSnapshot is built via ImageKnowledgeBase.at_epoch()")
@@ -478,58 +473,6 @@ class ImageSnapshot(ImageKnowledgeBase):
             live_masks.sync()  # writer-side: quiescent by contract
             snap._masks = MaskStore.inherit(snap, live_masks)
         return snap
-
-    # -- the frozen-epoch contract -------------------------------------
-
-    def at_epoch(self) -> "ImageSnapshot":
-        return self
-
-    def snapshot(self) -> "ImageSnapshot":
-        return self
-
-    def term_id(self, term: Term) -> Optional[int]:
-        term_id = self._interner.id_of(term)
-        if term_id is not None and term_id >= self._hwm:
-            return None
-        return term_id
-
-    def term_count(self) -> int:
-        return self._hwm
-
-    # -- mutation is a type error --------------------------------------
-
-    def _readonly(self) -> TypeError:
-        return TypeError(
-            f"ImageSnapshot(name={self.name!r}, epoch={self.epoch}) is an "
-            "immutable epoch view; mutate the live KB and take a new snapshot"
-        )
-
-    def add(self, triple: Triple) -> bool:
-        raise self._readonly()
-
-    def discard(self, triple: Triple) -> bool:
-        raise self._readonly()
-
-    def mutate_many(self, operations) -> int:
-        raise self._readonly()
-
-    def add_all(self, triples) -> int:
-        raise self._readonly()
-
-    def copy(self, name: Optional[str] = None) -> InternedKnowledgeBase:
-        """A fresh LIVE in-RAM store with this view's content; the
-        interner replays only up to the high-water mark."""
-        from itertools import islice
-
-        interner = TermInterner(islice(self._terms, self._hwm))
-        kb = InternedKnowledgeBase(name=name or self.name, interner=interner)
-        kb.add_all(self.triples())
-        return kb
-
-    def stats(self) -> Dict[str, int]:
-        stats = super().stats()
-        stats["snapshot_epoch"] = self.epoch
-        return stats
 
     def __repr__(self) -> str:
         return (

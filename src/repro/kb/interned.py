@@ -185,7 +185,7 @@ class InternedKnowledgeBase(BaseKnowledgeBase):
         no longer covers falls back to a full capture, and a gap that
         nets to nothing (paired delete + re-add) reuses the head
         outright.  Writer-side only — must not race a mutation; the
-        serving layer's update barrier guarantees that.  Repeated calls
+        serving layer's update lock guarantees that.  Repeated calls
         at one epoch return the same object.
         """
         from repro.kb.epoch import net_changes

@@ -34,19 +34,87 @@ Two invariants make the sharing safe under concurrent reads:
   interned *after* the snapshot are invisible to it.
 
 Construction is writer-side only (``at_epoch`` must not race a
-mutation); the serving layer's update barrier guarantees that.
+mutation); the serving layer's update lock guarantees that.
+
+:class:`FrozenEpoch` holds the read-only contract this view shares with
+:class:`~repro.kb.image.ImageSnapshot`; each class keeps its own capture
+code.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, Optional, Set, Tuple
 
 from repro.kb.idset import MaskStore
 from repro.kb.interned import InternedKnowledgeBase, _IdIndex
+from repro.kb.interner import TermInterner
 from repro.kb.terms import Term
 from repro.kb.triples import Triple
 
 _Key = Tuple[int, int]
+
+
+class FrozenEpoch:
+    """The frozen-epoch contract of a snapshot class, listed first in
+    its bases so it overrides the live store it derives from: a view of
+    a frozen epoch is its own snapshot, term lookups clamp at the
+    capture-time high-water mark, and mutators raise ``TypeError``."""
+
+    #: Interner high-water mark: IDs at or past this were interned after
+    #: the capture and do not exist in this view.
+    _hwm: int
+
+    def at_epoch(self):
+        return self
+
+    def snapshot(self):
+        return self
+
+    def term_id(self, term: Term) -> Optional[int]:
+        """Clamped at the high-water mark: terms interned after the
+        snapshot do not exist in this view."""
+        term_id = self._interner.id_of(term)
+        if term_id is not None and term_id >= self._hwm:
+            return None
+        return term_id
+
+    def term_count(self) -> int:
+        """The frozen mask universe: the interner size at capture time
+        (the shared dictionary keeps growing underneath)."""
+        return self._hwm
+
+    def _readonly(self) -> TypeError:
+        return TypeError(
+            f"{type(self).__name__}(name={self.name!r}, epoch={self.epoch}) is an "
+            "immutable epoch view; mutate the live KB and take a new snapshot"
+        )
+
+    def add(self, triple: Triple) -> bool:
+        raise self._readonly()
+
+    def discard(self, triple: Triple) -> bool:
+        raise self._readonly()
+
+    def mutate_many(self, operations) -> int:
+        raise self._readonly()
+
+    def add_all(self, triples) -> int:
+        raise self._readonly()
+
+    def copy(self, name: Optional[str] = None) -> InternedKnowledgeBase:
+        """A fresh LIVE in-RAM store with this view's content and term
+        IDs (the interner replays up to the high-water mark) — a new KB,
+        not a new view."""
+        interner = TermInterner(islice(self._terms, self._hwm))
+        kb = InternedKnowledgeBase(name=name or self.name, interner=interner)
+        kb.add_all(self.triples())
+        return kb
+
+    def stats(self) -> Dict[str, int]:
+        stats = super().stats()
+        stats["snapshot_epoch"] = self.epoch
+        return stats
 
 
 def _freeze_index(index: _IdIndex) -> _IdIndex:
@@ -75,21 +143,14 @@ def _resync_cell(frozen: _IdIndex, live: _IdIndex, a: int, b: int) -> None:
             del frozen[a]
 
 
-class KbSnapshot(InternedKnowledgeBase):
+class KbSnapshot(FrozenEpoch, InternedKnowledgeBase):
     """A read-only epoch view of an :class:`InternedKnowledgeBase`.
 
     Shares the parent's interner (append-only) and, structurally, every
-    index row the producing epoch did not touch.  Mutators raise
-    ``TypeError``; :meth:`at_epoch` / :meth:`snapshot` return ``self``
-    (a view of a frozen epoch is itself).  Build via
+    index row the producing epoch did not touch; read-only through
+    :class:`FrozenEpoch`.  Build via
     :meth:`InternedKnowledgeBase.at_epoch`, never directly.
     """
-
-    supports_snapshots = True
-
-    #: Interner high-water mark: IDs at or past this were interned after
-    #: the snapshot and do not exist in this view.
-    _hwm: int
 
     def __init__(self, *args, **kwargs):  # pragma: no cover - guard rail
         raise TypeError("KbSnapshot is built via InternedKnowledgeBase.at_epoch()")
@@ -166,61 +227,6 @@ class KbSnapshot(InternedKnowledgeBase):
             )
         return snap
 
-    # ------------------------------------------------------------------
-    # the frozen-epoch contract
-    # ------------------------------------------------------------------
-
-    def at_epoch(self) -> "KbSnapshot":
-        return self
-
-    def snapshot(self) -> "KbSnapshot":
-        return self
-
-    def term_id(self, term: Term) -> Optional[int]:
-        """Clamped at the high-water mark: terms interned after the
-        snapshot do not exist in this view."""
-        term_id = self._interner.id_of(term)
-        if term_id is not None and term_id >= self._hwm:
-            return None
-        return term_id
-
-    def term_count(self) -> int:
-        """The frozen mask universe: the interner size at capture time
-        (the shared dictionary keeps growing underneath)."""
-        return self._hwm
-
-    # ------------------------------------------------------------------
-    # mutation is a type error
-    # ------------------------------------------------------------------
-
-    def _readonly(self) -> TypeError:
-        return TypeError(
-            f"KbSnapshot(name={self.name!r}, epoch={self.epoch}) is an immutable "
-            "epoch view; mutate the live KB and take a new snapshot"
-        )
-
-    def add(self, triple: Triple) -> bool:
-        raise self._readonly()
-
-    def discard(self, triple: Triple) -> bool:
-        raise self._readonly()
-
-    def mutate_many(self, operations) -> int:
-        raise self._readonly()
-
-    def add_all(self, triples) -> int:
-        raise self._readonly()
-
-    def copy(self, name: Optional[str] = None) -> InternedKnowledgeBase:
-        """A fresh LIVE store with this view's content (a snapshot copy
-        is mutable again — it is a new KB, not a new view)."""
-        return InternedKnowledgeBase(self.triples(), name=name or self.name)
-
-    def stats(self) -> Dict[str, int]:
-        stats = super().stats()
-        stats["snapshot_epoch"] = self.epoch
-        return stats
-
     def __repr__(self) -> str:
         return (
             f"KbSnapshot(name={self.name!r}, epoch={self.epoch}, "
@@ -228,4 +234,4 @@ class KbSnapshot(InternedKnowledgeBase):
         )
 
 
-__all__ = ["KbSnapshot"]
+__all__ = ["FrozenEpoch", "KbSnapshot"]

@@ -68,7 +68,7 @@ def kb_to_payload(kb: InternedKnowledgeBase, include_masks: bool = True) -> Dict
     """The JSON-ready wire form of *kb* (see module docstring).
 
     *kb* must be quiescent for the duration of the call (the serving
-    layer serializes under its update barrier).  Works on live stores
+    layer serializes under its update lock).  Works on live stores
     and on :class:`~repro.kb.snapshot.KbSnapshot` views alike; the
     rehydrated store is always live.  Mask pages ship only when the
     store's kernel cache is resident (and *include_masks* is left on) —

@@ -11,7 +11,7 @@ Four layers, one front door:
   resident KB + shared :class:`~repro.core.batch.BatchMiner` and answers
   envelopes bit-identically to direct miner calls;
 * :mod:`repro.service.server` — the concurrent ``remi serve``
-  NDJSON-over-TCP layer (bounded worker pool, update barrier,
+  NDJSON-over-TCP layer (bounded worker pool, MVCC reads, update lock,
   backpressure, graceful drain);
 * :mod:`repro.service.workers` — :class:`WorkerPool`, the multi-process
   scale-out: N spawned processes each holding an epoch replica of the
@@ -20,7 +20,7 @@ Four layers, one front door:
 * :mod:`repro.service.supervisor` — :class:`FleetSupervisor`, which
   keeps the pool at full strength: heartbeats + liveness sweeps detect
   crashed/wedged replicas, bounded-backoff respawns bring them back at
-  the router's exact epoch (under the server's update barrier), and a
+  the router's exact epoch (under the server's update lock), and a
   circuit breaker abandons slots that keep dying.
 * :mod:`repro.service.faults` — :class:`FaultPlan`, the deterministic
   chaos harness: seeded (point, occurrence) schedules that make every

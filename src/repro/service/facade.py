@@ -19,19 +19,17 @@ across 50 KBs × both backends.
 >>> response = service.mine(MineRequest(id="q1", targets=(str(rennes),)))
 >>> response.ok, response.result["expression"]
 
-Thread safety matches the miner underneath: concurrent ``mine`` /
-``describe`` / ``stats`` calls are safe.  Two write disciplines exist:
-
-* **barrier mode** (the default, and the only mode for backends without
-  snapshot support): ``update`` must not overlap in-flight mining — the
-  network layer enforces that barrier, exactly like
-  :meth:`~repro.core.batch.BatchMiner.serve_jsonl` does for streams;
-* **snapshot mode** (:meth:`MiningService.enable_snapshots`, MVCC):
-  reads serve from an immutable epoch session
-  (:class:`~repro.kb.snapshot.KbSnapshot` + the miner bound to it) and
-  never wait for writes; ``update`` calls still must not overlap *each
-  other* — each one mutates the live KB and atomically publishes the
-  next session before returning, so every client reads its own writes.
+Thread safety: concurrent ``mine`` / ``describe`` / ``stats`` calls are
+safe, and ``update`` calls must not overlap each other (``remi serve``
+serializes them under its update lock).  ``update`` and ``stats`` share
+one façade lock, because ``stats`` scans the live KB.  Reads and writes
+overlap only in snapshot mode (:meth:`MiningService.enable_snapshots`,
+MVCC, always on under ``remi serve``): reads then serve from an
+immutable epoch session (:class:`~repro.kb.snapshot.KbSnapshot` + the
+miner bound to it) and never wait for writes, and each update publishes
+the next session before returning, so every client reads its own
+writes.  Without snapshots an ``update`` must not overlap mining, which
+:meth:`~repro.core.batch.BatchMiner.serve_jsonl` guarantees for streams.
 """
 
 from __future__ import annotations
@@ -164,6 +162,9 @@ class MiningService:
         self._session: Optional[_SnapshotSession] = None
         self._session_lock = threading.Lock()
         self._session_coherence = CacheCoherence()
+        # Held while update() mutates the live KB and while stats()
+        # scans it; mine and describe never take it.
+        self._live_lock = threading.Lock()
         self._retired_requests = 0
         self._retired_errors = 0
         self._retired_search = SearchStats()
@@ -208,29 +209,23 @@ class MiningService:
     # MVCC snapshot sessions (reads never wait for writes)
     # ------------------------------------------------------------------
 
-    def enable_snapshots(self) -> bool:
-        """Serve reads from immutable epoch snapshots when the backend
-        supports them (``kb.supports_snapshots``).
+    def enable_snapshots(self) -> None:
+        """Serve reads from immutable epoch snapshots (idempotent).
 
-        Returns True when snapshot reads are on: ``mine``/``describe``
-        run against the session pinned at the epoch the request loaded,
-        so the network layer may drop its query-side update barrier —
-        updates only serialize against each other and publish the next
-        session.  Returns False (and changes nothing) on barrier-only
-        backends like the hash store, which remains the differential
-        reference for this path.
+        ``mine``/``describe`` then run against the session pinned at the
+        epoch the request loaded, so reads never wait for writes; each
+        applied update publishes the next session.  Raises
+        ``TypeError`` when the KB lacks ``supports_snapshots`` (the hash
+        store).
         """
-        if not getattr(self.kb, "supports_snapshots", False):
-            return False
+        if not self.kb.supports_snapshots:
+            raise TypeError(
+                f"{type(self.kb).__name__} has no epoch snapshots; load the KB "
+                "into the interned store (or open a KB image) to serve it"
+            )
         with self._session_lock:
             if self._session is None:
                 self._session = self._build_session(self.kb.at_epoch())
-        return True
-
-    @property
-    def snapshot_reads(self) -> bool:
-        """True once :meth:`enable_snapshots` switched reads to sessions."""
-        return self._session is not None
 
     def _build_session(self, snapshot) -> _SnapshotSession:
         return _SnapshotSession(
@@ -317,7 +312,7 @@ class MiningService:
 
     def update(self, request: UpdateRequest) -> Response:
         """Apply one KB mutation.  Callers must serialize updates against
-        each other (the server's update barrier does); with snapshot
+        each other (the server's update lock does); with snapshot
         sessions enabled, reads keep flowing — the mutation lands on the
         live KB and the next epoch session publishes atomically before
         this returns, so the caller observes its own write."""
@@ -327,13 +322,14 @@ class MiningService:
         except BatchRequestError as exc:
             self.batch.errors += 1
             return Response.failure(request.id, request.kind, str(exc), ERR_BAD_UPDATE)
-        outcome = self.batch.apply_update(request.op, triple, request.id)
+        with self._live_lock:
+            outcome = self.batch.apply_update(request.op, triple, request.id)
+            if outcome.applied:
+                self._roll_session()
         if outcome.error is not None:
             return Response.failure(
                 request.id, request.kind, outcome.error, outcome.error_code
             )
-        if outcome.applied:
-            self._roll_session()
         return Response.success(
             request,
             {
@@ -353,13 +349,14 @@ class MiningService:
         rankings it will not use.
         """
         started = time.perf_counter()
-        result = {
-            "kb": dict(self.kb.stats()),
-            "config": self.config.to_json(),
-            "uptime_seconds": round(time.time() - self._started, 3),
-        }
-        if self._batch is not None or self._session is not None:
-            result["serving"] = self.summary()
+        with self._live_lock:
+            result = {
+                "kb": dict(self.kb.stats()),
+                "config": self.config.to_json(),
+                "uptime_seconds": round(time.time() - self._started, 3),
+            }
+            if self._batch is not None or self._session is not None:
+                result["serving"] = self.summary()
         return Response.success(request, result, seconds=time.perf_counter() - started)
 
     # ------------------------------------------------------------------

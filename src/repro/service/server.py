@@ -13,33 +13,31 @@ Concurrency model:
 * **bounded worker pool** — mining runs on a fixed
   :class:`~concurrent.futures.ThreadPoolExecutor`; the asyncio loop only
   parses, schedules and writes.
+* **MVCC snapshot reads** — the only read path: every query serves from
+  the immutable epoch session it loaded
+  (:meth:`~repro.service.facade.MiningService.enable_snapshots`), so
+  **reads never wait for writes** and writes never wait for reads.  The
+  server therefore needs a snapshot-capable KB (the interned store or a
+  KB image); any other backend is rejected with ``TypeError``.
+* **one update lock** (an :class:`asyncio.Lock`) serializes updates
+  against each other, together with their replica fan-out and the
+  supervisor's bootstrap/admit phases; each update mutates the live KB
+  and publishes the next epoch session before its response is written.
 * **router mode** (``remi serve --workers N``): a
   :class:`~repro.service.workers.WorkerPool` of N spawned processes each
   holds an epoch replica of the KB (rehydrated from
   :mod:`repro.kb.wire` bytes).  ``mine``/``describe`` dispatch to any
   replica — true multi-core scaling, the GIL no longer serializes
   mining — while updates apply to the router's authoritative KB under
-  the barrier and then fan to every replica in epoch lock-step before
-  the response is written (read-your-writes holds across processes).
-  ``--workers 0`` keeps the single-process path below as the
+  the update lock and then fan to every replica in epoch lock-step
+  before the response is written (read-your-writes holds across
+  processes).  ``--workers 0`` keeps the single-process path as the
   bit-identical differential reference.
-* **MVCC snapshot reads** (snapshot-capable backends, i.e. the interned
-  store): every query serves from the immutable epoch session it loaded
-  (:meth:`~repro.service.facade.MiningService.enable_snapshots`), so
-  **reads never wait for writes** and writes never wait for reads.  The
-  update barrier still serializes updates *against each other*; each
-  update mutates the live KB exclusively and publishes the next epoch
-  session before its response is written.
-* **barrier mode** (backends without snapshot support, i.e. the hash
-  store — the differential reference for the snapshot path): queries
-  overlap each other; an update waits for every in-flight query (across
-  ALL connections) to drain, applies exclusively, then traffic resumes.
-* **same-connection ordering** holds in both modes: an update flushes
-  that connection's own pending queries first and the next line is only
-  read after the update's response, so a client that sends ``mine,
-  update, mine`` observes the second mine against the mutated KB —
-  read-your-writes, exactly like
-  :meth:`~repro.core.batch.BatchMiner.serve_jsonl`.
+* **same-connection ordering**: an update flushes that connection's own
+  pending queries first and the next line is only read after the
+  update's response, so a client that sends ``mine, update, mine``
+  observes the second mine against the mutated KB — read-your-writes,
+  exactly like :meth:`~repro.core.batch.BatchMiner.serve_jsonl`.
 * **backpressure** — at most ``max_pending`` requests may be in flight;
   beyond that the server stops reading sockets, which TCP propagates to
   the clients.
@@ -84,72 +82,15 @@ from repro.service.workers import WorkerPool, WorkerPoolError, WorkerTimeout
 _LOG = logging.getLogger(__name__)
 
 
-class _UpdateBarrier:
-    """An async readers-writer gate: queries share, updates are exclusive.
-
-    Writer-preferring and cancellation-safe: the moment an update is
-    *queued* (not merely active), new ``query()`` entrants hold at the
-    gate, so a steady query stream cannot starve mutations — the writer
-    only waits for the queries that were already in flight when it
-    arrived.  A queued writer that gets cancelled (client gone, timeout)
-    re-opens the gate on its way out; without that wake-up, queries
-    blocked on the writer's presence would sleep forever once no active
-    reader remains to notify them.
-    """
-
-    def __init__(self) -> None:
-        self._cond = asyncio.Condition()
-        self._active_queries = 0
-        self._updating = False
-        self._waiting_updates = 0
-
-    @contextlib.asynccontextmanager
-    async def query(self):
-        async with self._cond:
-            # Writer preference: block behind QUEUED updates too, not
-            # just the active one.
-            while self._updating or self._waiting_updates:
-                await self._cond.wait()
-            self._active_queries += 1
-        try:
-            yield
-        finally:
-            async with self._cond:
-                self._active_queries -= 1
-                self._cond.notify_all()
-
-    @contextlib.asynccontextmanager
-    async def update(self):
-        async with self._cond:
-            self._waiting_updates += 1
-            try:
-                while self._updating or self._active_queries:
-                    await self._cond.wait()
-                self._updating = True
-            finally:
-                self._waiting_updates -= 1
-                if not self._updating:
-                    # Cancelled while queued: the gate this writer was
-                    # holding closed must re-open, and no active reader
-                    # or writer may remain to do it later.  (On the
-                    # success path _updating is True — ours or another
-                    # writer's — and that writer's exit notifies.)
-                    self._cond.notify_all()
-        try:
-            yield
-        finally:
-            async with self._cond:
-                self._updating = False
-                self._cond.notify_all()
-
-
 class MiningServer:
     """A concurrent NDJSON-over-TCP front end for one :class:`MiningService`.
 
     Parameters
     ----------
     service:
-        The façade all requests route through.
+        The façade all requests route through.  Construction switches it
+        to MVCC snapshot reads; a KB without snapshot support raises
+        ``TypeError``.
     host, port:
         Bind address; ``port=0`` picks an ephemeral port (read it back
         from :attr:`port` after :meth:`start`).
@@ -162,8 +103,8 @@ class MiningServer:
         An optional :class:`~repro.service.workers.WorkerPool` of
         process replicas — router mode.  ``mine``/``describe`` requests
         dispatch to a replica (falling back to the local façade when the
-        pool is unusable); applied updates fan to every replica inside
-        the update barrier, before the update's response is written.
+        pool is unusable); applied updates fan to every replica under
+        the update lock, before the update's response is written.
         The pool's lifecycle belongs to its creator: :meth:`start`
         starts it (idempotent), but :meth:`drain` never stops it, so one
         pool can outlive several servers (the bench reuses one across
@@ -172,7 +113,7 @@ class MiningServer:
         In router mode, run a :class:`~repro.service.supervisor.
         FleetSupervisor` over the pool for the server's lifetime
         (heartbeats, crash detection, respawns under this server's
-        update barrier).  Knobs come from the service config
+        update lock).  Knobs come from the service config
         (``heartbeat_interval`` etc.); an interval of ``0`` disables the
         loop even when this is True.  The supervisor — unlike the pool —
         belongs to the server: :meth:`drain` stops it.
@@ -192,6 +133,7 @@ class MiningServer:
             raise ValueError(f"pool_workers must be ≥ 1, got {pool_workers}")
         if max_pending < 1:
             raise ValueError(f"max_pending must be ≥ 1, got {max_pending}")
+        service.enable_snapshots()
         self.service = service
         self.host = host
         self.port = port
@@ -210,8 +152,7 @@ class MiningServer:
         self._supervisor: Optional[FleetSupervisor] = None
         self._pool: Optional[ThreadPoolExecutor] = None
         self._server: Optional[asyncio.base_events.Server] = None
-        self._barrier = _UpdateBarrier()
-        self._snapshot_reads = False
+        self._update_lock = asyncio.Lock()
         self._inflight: Optional[asyncio.Semaphore] = None
         self._connections: Set[asyncio.StreamWriter] = set()
         self._conn_tasks: Set[asyncio.Task] = set()
@@ -225,10 +166,6 @@ class MiningServer:
 
     async def start(self) -> None:
         """Bind and begin accepting; returns once listening."""
-        # MVCC reads: on snapshot-capable backends the façade pins every
-        # query to an immutable epoch session and queries skip the
-        # barrier entirely (updates still serialize against each other).
-        self._snapshot_reads = self.service.enable_snapshots()
         if self._workers is not None:
             # Spawning replicas blocks on process startup + wire
             # rehydration; keep the loop responsive while they come up.
@@ -239,7 +176,7 @@ class MiningServer:
                 config = self.service.config
                 self._supervisor = FleetSupervisor(
                     self._workers,
-                    exclusive=self._barrier.update,
+                    exclusive=self._update_lock,
                     heartbeat_interval=config.heartbeat_interval,
                     max_restarts=config.max_restarts,
                     backoff_base=config.restart_backoff,
@@ -254,11 +191,6 @@ class MiningServer:
             self._handle_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-
-    @property
-    def snapshot_reads(self) -> bool:
-        """True when queries serve from epoch snapshots (no read barrier)."""
-        return self._snapshot_reads
 
     @property
     def workers(self) -> Optional[WorkerPool]:
@@ -278,7 +210,6 @@ class MiningServer:
             "responses_dropped": self.responses_dropped,
             "requests_in_flight": self.requests_in_flight,
             "request_timeouts": self.request_timeouts,
-            "snapshot_reads": self._snapshot_reads,
         }
         if self._workers is not None:
             info["workers"] = self._workers.stats()
@@ -415,14 +346,14 @@ class MiningServer:
                     task.add_done_callback(self._log_drain_result)
                     break
                 if kind == "update" or (is_typed and kind is None and "op" in payload):
-                    # The update barrier: this connection's own queries
-                    # first (ordering), then global exclusivity.  In
-                    # router mode the fan-out happens INSIDE the barrier
-                    # and before the response: when the client reads the
-                    # update's ack, every replica has applied it —
-                    # read-your-writes holds across processes.
+                    # This connection's own queries first (ordering),
+                    # then the update lock.  In router mode the fan-out
+                    # happens under the lock and before the response:
+                    # when the client reads the update's ack, every
+                    # replica has applied it — read-your-writes holds
+                    # across processes.
                     await self._flush(pending)
-                    async with self._barrier.update():
+                    async with self._update_lock:
                         record = await self._run(payload, line_no)
                         await self._fan_out(payload, line_no, record)
                     await self._send(writer, write_lock, record)
@@ -457,13 +388,9 @@ class MiningServer:
         # handler or the socket does (the finally also covers a _send
         # that raises because the client disconnected mid-reply).
         try:
-            if self._snapshot_reads:
-                # MVCC: the query pins its epoch session inside the
-                # façade — no barrier, reads never wait for writes.
-                record = await self._dispatch(payload, line_no)
-            else:
-                async with self._barrier.query():
-                    record = await self._dispatch(payload, line_no)
+            # MVCC: the query pins its epoch session inside the façade,
+            # so it never waits for the update lock.
+            record = await self._dispatch(payload, line_no)
             await self._send(writer, write_lock, record)
         finally:
             self.requests_in_flight -= 1
@@ -532,8 +459,8 @@ class MiningServer:
         return record
 
     async def _fan_out(self, payload, line_no: int, record: Dict) -> None:
-        """Replicate one applied update to every worker, inside the
-        caller's barrier hold.  No-op outside router mode, for failed
+        """Replicate one applied update to every worker, under the
+        caller's update lock.  No-op outside router mode, for failed
         updates, and for ineffective ones (content unchanged ⇒ replicas
         already exact; the router's epoch did not move either)."""
         if self._workers is None or not record.get("ok"):

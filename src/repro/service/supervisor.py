@@ -17,14 +17,14 @@ It watches every slot with two complementary signals:
   one-round-per-replica framing anyway.
 
 Dead slots are respawned through the pool's three-step cycle, phased so
-the update barrier is held only for the cheap parts::
+the server's update lock is held only for the cheap parts::
 
-    barrier { bootstrap = pool.prepare_bootstrap() }   # exact image
-    pool.respawn(index, bootstrap)                     # slow: spawn+handshake
-    barrier { pool.admit(index) }                      # epoch check/resync
+    lock { bootstrap = pool.prepare_bootstrap() }   # exact image
+    pool.respawn(index, bootstrap)                  # slow: spawn+handshake
+    lock { pool.admit(index) }                      # epoch check/resync
 
 The middle step — process spawn, KB rehydration, warm-up — runs outside
-the barrier, so updates keep flowing while the replacement boots.  The
+the lock, so updates keep flowing while the replacement boots.  The
 final ``admit`` re-checks the epoch under quiescence and wire-resyncs if
 updates landed meanwhile, so the replica re-enters dispatch at the
 router's *exact* epoch: read-your-writes holds across a restart.
@@ -46,15 +46,9 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import time
-from typing import Callable, Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.service.workers import WorkerPool, WorkerPoolError
-
-
-@contextlib.asynccontextmanager
-async def _no_barrier():
-    """Stand-in exclusive section for supervising a standalone pool."""
-    yield
 
 
 class FleetSupervisor:
@@ -67,11 +61,9 @@ class FleetSupervisor:
         ``pool.supervisor`` so the pool's ``stats()`` can report the
         supervision counters.
     exclusive:
-        Zero-arg callable returning an async context manager that grants
-        exclusive (writer) access to the router KB — the server passes
-        its update barrier's ``update``.  Defaults to a no-op gate for
-        standalone pools (safe only when nothing mutates the KB
-        concurrently).
+        The :class:`asyncio.Lock` that serializes writers of the router
+        KB — the server passes its update lock.  A standalone pool gets
+        a private lock (safe only when nothing else mutates the KB).
     heartbeat_interval:
         Seconds between :meth:`run` iterations, and between heartbeat
         pings to any one idle replica.  ``0`` disables the background
@@ -87,7 +79,7 @@ class FleetSupervisor:
     def __init__(
         self,
         pool: WorkerPool,
-        exclusive: Optional[Callable[[], "contextlib.AbstractAsyncContextManager"]] = None,
+        exclusive: Optional[asyncio.Lock] = None,
         heartbeat_interval: float = 2.0,
         max_restarts: int = 5,
         backoff_base: float = 0.5,
@@ -102,7 +94,7 @@ class FleetSupervisor:
         if backoff_base < 0 or backoff_max < 0:
             raise ValueError("restart backoff must be ≥ 0")
         self.pool = pool
-        self._exclusive = exclusive or _no_barrier
+        self._exclusive = exclusive or asyncio.Lock()
         self.heartbeat_interval = heartbeat_interval
         self.max_restarts = max_restarts
         self.backoff_base = backoff_base
@@ -187,7 +179,7 @@ class FleetSupervisor:
 
     async def _respawn_slot(self, index: int) -> bool:
         """One respawn attempt for slot *index*: backoff bookkeeping,
-        the barrier-phased bootstrap/respawn/admit cycle, breaker trip
+        the lock-phased bootstrap/respawn/admit cycle, breaker trip
         on exhaustion.  Returns True when the slot is live again."""
         attempts = self._attempts.get(index, 0)
         self._attempts[index] = attempts + 1
@@ -197,12 +189,12 @@ class FleetSupervisor:
         loop = asyncio.get_running_loop()
         pool = self.pool
         try:
-            async with self._exclusive():
+            async with self._exclusive:
                 bootstrap = await loop.run_in_executor(
                     pool._executor, pool.prepare_bootstrap
                 )
             await loop.run_in_executor(pool._executor, pool.respawn, index, bootstrap)
-            async with self._exclusive():
+            async with self._exclusive:
                 await loop.run_in_executor(pool._executor, pool.admit, index)
         except WorkerPoolError:
             self.respawns_failed += 1

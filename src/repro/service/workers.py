@@ -1,9 +1,7 @@
 """Multi-process scale-out: epoch-replicated mining workers.
 
 The GIL caps the single-process server at roughly one core no matter how
-many threads the pool holds — BENCH_serve.json before this layer records
-16 concurrent clients getting *half* the throughput of one.  The fix is
-the classic replicated-read topology: the asyncio front door becomes a
+many threads the pool holds.  The fix is the classic replicated-read topology: the asyncio front door becomes a
 **router**, and mining runs in N worker *processes*, each holding a full
 replica of the dictionary-encoded KB rehydrated once from
 :mod:`repro.kb.wire` bytes (no N-Triples/HDT re-parse, same dense term
@@ -18,12 +16,12 @@ Consistency protocol (epoch lock-step):
   in-flight first — and the reply carries the replica's epoch back as
   telemetry;
 * updates are applied to the router's authoritative KB first (under the
-  server's update barrier), then **fanned to every replica**, which
+  server's update lock), then **fanned to every replica**, which
   replays the same envelope through its own façade and rolls its own
   MVCC snapshot session, exactly as the in-process server does;
 * after the fan-out the router compares every ack epoch against its own.
   A replica that diverged (crashed mid-apply, missed a delta) is
-  **resynced** wholesale from fresh wire bytes — the barrier guarantees
+  **resynced** wholesale from fresh wire bytes — the lock guarantees
   the KB is quiescent, so the image is exact — and the event is counted
   in :attr:`WorkerPool.resyncs` (a healthy run reports zero).
 
@@ -36,7 +34,7 @@ envelope; the client never hangs), and the wedged process is terminated
 on the spot.  Dead and wedged slots are then *respawned* by the
 :class:`~repro.service.supervisor.FleetSupervisor` through the
 :meth:`prepare_bootstrap` → :meth:`respawn` → :meth:`admit` cycle, the
-last step running under the server's update barrier so the fresh replica
+last step running under the server's update lock so the fresh replica
 re-enters dispatch at the router's exact epoch.
 
 Each replica owns one duplex :func:`multiprocessing.Pipe`; the parent
@@ -400,7 +398,7 @@ class WorkerPool:
         started at — after any mutation, respawns fall back to fresh
         wire bytes.  **The KB must be quiescent for the duration** (the
         startup path runs before traffic; the supervisor calls this
-        under the server's update barrier).
+        under the server's update lock).
         """
         if self.image_path is not None and (
             self._start_epoch is None or self.kb.epoch == self._start_epoch
@@ -586,9 +584,9 @@ class WorkerPool:
         supervisor runs this on the executor).
 
         The new replica completes its ready handshake but is **not** yet
-        in dispatch — :meth:`admit` (under the server's update barrier)
+        in dispatch — :meth:`admit` (under the server's update lock)
         brings it to the router's exact epoch and marks it live.  Pass a
-        *bootstrap* prepared under the barrier (quiescent KB); omitting
+        *bootstrap* prepared under the lock (quiescent KB); omitting
         it serializes one here, which is only safe while no update can
         run concurrently.
         """
@@ -632,7 +630,7 @@ class WorkerPool:
         """Bring a respawned replica to the router's exact epoch and put
         it back into dispatch.
 
-        Blocking; **must run under the server's update barrier** — the
+        Blocking; **must run under the server's update lock** — the
         epoch comparison and any resync image are only exact while the
         KB is quiescent, and admission must not interleave with an
         update fan-out (a replica admitted mid-fan-out would miss the
@@ -781,7 +779,7 @@ class WorkerPool:
     ) -> List[Dict]:
         """Replay one applied update envelope on EVERY live replica.
 
-        Must run under the server's update barrier (the router KB — and
+        Must run under the server's update lock (the router KB — and
         therefore the expected epoch — is frozen while replicas apply).
         Waits for all acks, records the fan-out lag, then verifies each
         replica landed on *expect_epoch*; a mismatch triggers a full wire

@@ -189,3 +189,56 @@ class TestBatch:
         assert code == 0
         records = [json.loads(l) for l in out_path.read_text().strip().splitlines()]
         assert len(records) == 1
+
+
+class TestServe:
+    """``remi serve`` start-up with the network loop stubbed out: the stub
+    captures the service the CLI would serve."""
+
+    @pytest.fixture
+    def served(self, monkeypatch):
+        captured = {}
+
+        async def fake_run_server(service, **kwargs):
+            service.enable_snapshots()  # what MiningServer does first
+            captured["service"] = service
+
+        monkeypatch.setattr("repro.service.server.run_server", fake_run_server)
+        return captured
+
+    @pytest.fixture
+    def nt_file(self, tmp_path):
+        path = tmp_path / "kb.nt"
+        code = main(["generate", "--kind", "wikidata", "--scale", "0.3", "--out", str(path)])
+        assert code == 0
+        return path
+
+    def _serve(self, served, path, *flags):
+        assert main(["serve", str(path), "--port", "0", *flags]) == 0
+        return served["service"]
+
+    def test_ntriples_load_into_the_interned_store(self, served, nt_file):
+        from repro.kb.interned import InternedKnowledgeBase
+
+        service = self._serve(served, nt_file)
+        assert type(service.kb) is InternedKnowledgeBase
+
+    def test_image_is_served_zero_copy(self, served, nt_file, tmp_path):
+        from repro.kb.image import ImageKnowledgeBase
+
+        image = tmp_path / "kb.img"
+        assert main(["build-image", str(nt_file), str(image)]) == 0
+        service = self._serve(served, image)
+        assert isinstance(service.kb, ImageKnowledgeBase)
+
+    def test_backend_flag_is_rejected(self, served, nt_file):
+        with pytest.raises(SystemExit):
+            main(["serve", str(nt_file), "--backend", "hash"])
+        assert not served  # argparse refused before loading anything
+
+    def test_warm_up_builds_the_serving_session(self, served, kb_file):
+        """Regression: --warm-up used to warm the live update-side miner
+        and leave the snapshot session that answers reads cold."""
+        service = self._serve(served, kb_file, "--warm-up")
+        assert service._session.miner._known is not None
+        assert service._batch is None  # no live miner built for reads

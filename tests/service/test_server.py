@@ -1,5 +1,5 @@
-"""`remi serve` network-layer tests: concurrent clients, the update
-barrier, backpressure bounds, graceful drain — and the acceptance pin
+"""`remi serve` network-layer tests: concurrent clients, MVCC reads and
+the update lock, backpressure bounds, graceful drain — and the acceptance pin
 that a concurrent mine+update session reports ZERO cache-coherence
 violations in the `CacheCoherence` telemetry.
 
@@ -19,7 +19,6 @@ from repro.datasets import rennes_nantes_scene
 from repro.kb.interned import InternedKnowledgeBase
 from repro.kb.namespaces import EX
 from repro.service import MiningServer, MiningService, ServiceConfig
-from repro.service.server import _UpdateBarrier
 
 
 def _interned_scene():
@@ -183,7 +182,7 @@ def test_same_connection_update_barrier_ordering():
         for _ in range(3):
             record = await client.recv()
             records[record["id"]] = record
-        # The update barrier flushed "before" first, so "after" is served
+        # The update flushed "before" first, so "after" is served
         # against the mutated KB: the brand-new entity is known.
         assert records["u"]["ok"] and records["u"]["result"]["applied"]
         assert records["after"]["ok"], records["after"]
@@ -252,8 +251,8 @@ def test_drain_answers_other_connections_in_flight_requests():
 
 
 def test_queries_do_not_wait_for_updates_on_snapshot_backend():
-    """The MVCC headline: with snapshot reads on, a mine completes while
-    an update is still holding the (writer-only) barrier."""
+    """The MVCC headline: a mine completes while an update is still
+    holding the update lock."""
 
     async def scenario():
         import time as _time
@@ -264,12 +263,11 @@ def test_queries_do_not_wait_for_updates_on_snapshot_backend():
         def slow_updates(payload, line=None):
             record = inner(payload, line=line)
             if record.get("kind") == "update":
-                _time.sleep(0.4)  # the update holds its barrier slot
+                _time.sleep(0.4)  # the update holds the update lock
             return record
 
         service.handle_json = slow_updates
         server = await _start(service, pool_workers=2)
-        assert server.snapshot_reads  # interned backend -> MVCC mode
 
         updater = await _Client.connect(server)
         querier = await _Client.connect(server)
@@ -293,33 +291,11 @@ def test_queries_do_not_wait_for_updates_on_snapshot_backend():
     asyncio.run(scenario())
 
 
-def test_hash_backend_stays_on_barrier_path():
-    """The differential reference: a backend without snapshot support
-    serves correctly through the classic query/update barrier."""
-
-    async def scenario():
-        service = MiningService(rennes_nantes_scene())
-        server = await _start(service, pool_workers=2)
-        assert not server.snapshot_reads
-
-        client = await _Client.connect(server)
-        before = await client.ask(
-            {"type": "mine", "id": "before", "targets": [str(EX.Rennes)]}
-        )
-        assert before["ok"]
-        updated = await client.ask(
-            {"type": "update", "id": "u", "op": "add",
-             "triple": [str(EX.Quimper), str(EX.inRegion), str(EX.Bretagne)]}
-        )
-        assert updated["ok"] and updated["result"]["applied"]
-        after = await client.ask(
-            {"type": "mine", "id": "after", "targets": [str(EX.Quimper)]}
-        )
-        assert after["ok"], after  # read-your-writes through the barrier
-        await client.close()
-        await server.drain()
-
-    asyncio.run(scenario())
+def test_server_rejects_kb_without_snapshots():
+    """MVCC is the only read path: a KB without epoch snapshots (the hash
+    store) cannot be served."""
+    with pytest.raises(TypeError, match="no epoch snapshots"):
+        MiningServer(MiningService(rennes_nantes_scene()))
 
 
 def test_client_disconnect_mid_reply_balances_accounting():
@@ -401,125 +377,8 @@ def test_drain_failure_is_logged_and_surfaced(caplog):
 
 
 def test_invalid_server_parameters_rejected():
-    service = MiningService(rennes_nantes_scene())
+    service = MiningService(_interned_scene())
     with pytest.raises(ValueError):
         MiningServer(service, pool_workers=0)
     with pytest.raises(ValueError):
         MiningServer(service, max_pending=0)
-
-
-def test_update_barrier_excludes_queries():
-    """Unit-level: the barrier never lets an update overlap a query."""
-
-    async def scenario():
-        barrier = _UpdateBarrier()
-        state = {"queries": 0, "updates": 0, "max_queries_during_update": 0}
-
-        async def query(delay: float):
-            async with barrier.query():
-                state["queries"] += 1
-                await asyncio.sleep(delay)
-                state["queries"] -= 1
-
-        async def update():
-            async with barrier.update():
-                state["updates"] += 1
-                assert state["queries"] == 0, "update overlapped a query"
-                await asyncio.sleep(0.01)
-                state["updates"] -= 1
-
-        await asyncio.gather(
-            query(0.02), query(0.01), update(), query(0.015), update(), query(0.005)
-        )
-        assert state["queries"] == 0 and state["updates"] == 0
-
-    asyncio.run(scenario())
-
-
-def test_queued_update_blocks_new_query_entrants():
-    """Writer preference: once an update is QUEUED, a fresh query holds
-    at the gate until the writer has run — a steady query stream cannot
-    starve mutations."""
-
-    async def scenario():
-        barrier = _UpdateBarrier()
-        order = []
-        q1_hold = asyncio.Event()
-        q1_entered = asyncio.Event()
-
-        async def long_query():
-            async with barrier.query():
-                order.append("q1")
-                q1_entered.set()
-                await q1_hold.wait()
-
-        async def writer():
-            async with barrier.update():
-                order.append("update")
-
-        async def late_query():
-            async with barrier.query():
-                order.append("q2")
-
-        q1_task = asyncio.create_task(long_query())
-        await q1_entered.wait()
-        update_task = asyncio.create_task(writer())
-        for _ in range(5):  # writer reaches the gate and queues
-            await asyncio.sleep(0)
-        q2_task = asyncio.create_task(late_query())
-        for _ in range(5):
-            await asyncio.sleep(0)
-        assert "q2" not in order, "query jumped a queued writer"
-        q1_hold.set()
-        await asyncio.wait_for(asyncio.gather(q1_task, update_task, q2_task), 5)
-        assert order == ["q1", "update", "q2"]
-
-    asyncio.run(scenario())
-
-
-def test_cancelled_queued_writer_reopens_the_gate():
-    """Cancellation-safety regression: a queued writer that gets
-    cancelled must wake the queries it was gating.  Before the fix the
-    writer's exit decremented the waiting count without notifying, so a
-    query already parked behind it slept forever once no active reader
-    remained to notify on its behalf."""
-
-    async def scenario():
-        barrier = _UpdateBarrier()
-        q1_hold = asyncio.Event()
-        q1_entered = asyncio.Event()
-        q2_entered = asyncio.Event()
-
-        async def long_query():
-            async with barrier.query():
-                q1_entered.set()
-                await q1_hold.wait()
-
-        async def writer():
-            async with barrier.update():
-                raise AssertionError("cancelled writer must never run")
-
-        async def gated_query():
-            async with barrier.query():
-                q2_entered.set()
-
-        q1_task = asyncio.create_task(long_query())
-        await q1_entered.wait()
-        update_task = asyncio.create_task(writer())
-        for _ in range(5):
-            await asyncio.sleep(0)
-        q2_task = asyncio.create_task(gated_query())
-        for _ in range(5):
-            await asyncio.sleep(0)
-        assert not q2_entered.is_set(), "query jumped a queued writer"
-
-        update_task.cancel()
-        with pytest.raises(asyncio.CancelledError):
-            await update_task
-        # q1 is still mid-flight: the ONLY possible waker for q2 is the
-        # cancelled writer's exit path.
-        await asyncio.wait_for(q2_entered.wait(), 5)
-        q1_hold.set()
-        await asyncio.wait_for(asyncio.gather(q1_task, q2_task), 5)
-
-    asyncio.run(scenario())

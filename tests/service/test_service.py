@@ -9,6 +9,7 @@ envelope layer (parse/validate/round-trip) and `ServiceConfig`.
 
 import json
 import random
+import threading
 
 import pytest
 
@@ -292,3 +293,41 @@ class TestFacadeErrors:
         assert KB_BACKENDS["hash"] is KnowledgeBase  # the old BACKENDS[...] contract
         with pytest.raises(KeyError):
             KB_BACKENDS["sqlite"]
+
+
+def test_update_waits_for_an_open_stats_scan(rennes_kb):
+    """Regression: stats() scans the live KB while MVCC reads let the
+    server run it beside an update, so the update must wait for the scan
+    instead of mutating the KB mid-iteration."""
+    kb = InternedKnowledgeBase(rennes_kb.triples())
+    service = MiningService(kb)
+    service.enable_snapshots()
+    scanning, release, applied = threading.Event(), threading.Event(), threading.Event()
+    live_stats = kb.stats
+
+    def held_stats():
+        scanning.set()
+        assert release.wait(10)
+        return live_stats()
+
+    def add_lyon():
+        triple = (str(EX.Lyon), str(EX.cityOf), str(EX.France))
+        assert service.update(UpdateRequest(id="u", op="add", triple=triple)).ok
+        applied.set()
+
+    kb.stats = held_stats
+    stats_thread = threading.Thread(target=service.stats, args=(StatsRequest(id="s"),))
+    update_thread = threading.Thread(target=add_lyon)
+    stats_thread.start()
+    assert scanning.wait(10)
+    epoch = kb.epoch
+    update_thread.start()
+    try:
+        assert not applied.wait(0.3), "update ran during the stats scan"
+        assert kb.epoch == epoch
+    finally:
+        release.set()
+        stats_thread.join(10)
+        update_thread.join(10)
+    assert not stats_thread.is_alive() and not update_thread.is_alive()
+    assert applied.is_set() and kb.epoch == epoch + 1
